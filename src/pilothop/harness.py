@@ -53,8 +53,8 @@ class MethodSpec:
             raise ConfigurationError(f"unknown method kind {self.kind!r}")
         if self.kind == "nnls" and self.lam != 0.0:
             raise ConfigurationError("nnls takes no lambda")
-        if self.lam < 0:
-            raise ConfigurationError("lambda must be >= 0")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
 
     @property
     def label(self) -> str:

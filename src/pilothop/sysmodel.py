@@ -231,11 +231,37 @@ def build_system(config: SystemConfig, rng: np.random.Generator,
 
 
 def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
-    """N(k) = indices of users strictly within distance r of user k (self included)."""
+    """N(k) = indices of users strictly within distance r of user k (self included).
+
+    Users are bucketed into square cells of side >= r, so the neighbors of
+    a user lie in the 3x3 block of cells around its own; every candidate
+    pair from those cells is held to the exact test ||p_i - p_j||^2 < r^2.
+    No K x K distance matrix is formed.
+    """
+    if not r > 0:
+        raise ConfigurationError(f"r must be > 0, got {r}")
     pos = topology.user_positions
-    d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
-    mask = d2 < r * r
-    return [np.flatnonzero(mask[k]) for k in range(pos.shape[0])]
+    K = pos.shape[0]
+    lo = pos.min(axis=0)
+    # cell indices run 0..1024 per axis, whatever the spread of the positions
+    side = max(r, float(np.max(pos.max(axis=0) - lo)) / 1024)
+    cells = np.floor((pos - lo) / side).astype(np.int64)
+    stride = 1027  # > 1026, so a -1/+1 column offset never wraps into another row
+    key = cells[:, 0] * stride + cells[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    # each user against the 3x3 block of cells around its own; the users of
+    # one target cell sit at sorted positions start .. start + count - 1
+    offsets = (np.arange(-1, 2)[:, None] * stride + np.arange(-1, 2)).ravel()
+    target = (key[:, None] + offsets).ravel()
+    start = np.searchsorted(sorted_key, target, "left")
+    count = np.searchsorted(sorted_key, target, "right") - start
+    i = np.repeat(np.arange(target.size) // offsets.size, count)
+    j = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
+    close = np.sum((pos[i] - pos[j]) ** 2, axis=1) < r * r
+    i, j = i[close], j[close]
+    by_pair = np.lexsort((j, i))
+    return np.split(j[by_pair], np.searchsorted(i[by_pair], np.arange(1, K)))
 
 
 def save_system(path, config, topology, fading, code, a):

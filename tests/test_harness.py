@@ -56,6 +56,11 @@ class TestConfigSchema:
         with pytest.raises(ConfigurationError, match="mu"):
             harness.config_from_dict(doc)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_method_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            harness.MethodSpec("tv", lam)
+
     def test_missing_config_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="not found"):
             harness.parse_config(tmp_path / "nope.json")
@@ -223,6 +228,16 @@ class TestCli:
         rc = cli.main(["roc", "--config", str(path)])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_nan_lambda_exit_code(self, tmp_path, capsys):
+        # json.loads accepts the bare NaN token
+        path = tmp_path / "nan.json"
+        path.write_text('{"schema_version": 1, "methods": [{"kind": "tv", "lambda": NaN}]}')
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "lambda" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["roc", "--config", str(tmp_path / "nope.json")])

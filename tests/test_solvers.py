@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.optimize
 
-from pilothop import solvers
+from pilothop import solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -68,6 +70,100 @@ class TestSpecValidation:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             solvers.nnls_solve(np.ones((3, 2)), np.ones(4))
+
+
+class TestOptionsValidation:
+    @pytest.mark.parametrize("rho", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_rho(self, rho):
+        with pytest.raises(ConfigurationError, match="rho"):
+            solvers.SolverOptions(rho=rho)
+
+    @pytest.mark.parametrize("relax", [0.0, 2.0, -0.5, 2.5, float("nan")])
+    def test_rejects_bad_over_relax(self, relax):
+        with pytest.raises(ConfigurationError, match="over_relax"):
+            solvers.SolverOptions(over_relax=relax)
+
+    def test_accepts_interior_values(self):
+        opts = solvers.SolverOptions(rho=1e-3, over_relax=1.0)
+        assert opts.rho == 1e-3 and opts.over_relax == 1.0
+
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_spec_rejects_non_finite_lambda(self, lam):
+        with pytest.raises(ConfigurationError, match="lambda"):
+            solvers.tv_spec(chain_neighbors(4), lam)
+        with pytest.raises(ConfigurationError, match="lambda"):
+            solvers.glasso_spec(contiguous_groups(4, 2), lam)
+
+
+def dense_penalty_gram(reg, n):
+    """B^T B built entry by entry from the group definition."""
+    BtB = np.zeros((n, n))
+    for j, g in enumerate(reg.groups):
+        for i in g:
+            if reg.kind == solvers.GLASSO:
+                BtB[i, i] += 1.0
+            elif i != j:
+                d = np.zeros(n)
+                d[j], d[i] = 1.0, -1.0
+                BtB += np.outer(d, d)
+    return BtB
+
+
+def grid_neighbors(side):
+    """3x3 lattice neighborhoods on a side x side grid, self included."""
+    sets = []
+    for k in range(side * side):
+        r, c = divmod(k, side)
+        sets.append(np.array(sorted(
+            rr * side + cc
+            for rr in range(max(r - 1, 0), min(r + 2, side))
+            for cc in range(max(c - 1, 0), min(c + 2, side))
+        )))
+    return sets
+
+
+class TestXUpdate:
+    @pytest.mark.parametrize(
+        "kind, groups, m, n",
+        [
+            ("tv", chain_neighbors(8), 12, 8),
+            ("glasso", contiguous_groups(8, 3), 12, 8),
+            ("tv", grid_neighbors(6), 10, 36),
+            ("glasso", grid_neighbors(6), 10, 36),
+            # B has no rows, so B^T B + I = I
+            ("tv", [np.array([j]) for j in range(20)], 10, 20),
+        ],
+        ids=["tv-tall", "glasso-tall", "tv-wide", "glasso-wide", "tv-singletons"],
+    )
+    def test_matches_dense_solve(self, kind, groups, m, n):
+        rng = np.random.default_rng(m * n)
+        A = np.abs(rng.standard_normal((m, n)))
+        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, 0.1)
+        ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
+        M = dense_penalty_gram(reg, n) + np.eye(n)
+        for k in range(-6, 7):
+            rho = 2.0**k
+            rhs = rng.standard_normal(n)
+            x = ws.x_update(rhs, rho)
+            x_ref = np.linalg.solve(2.0 * A.T @ A + rho * M, rhs)
+            assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref), rho
+
+    def test_paper_scale_memory(self):
+        # a dense x-update (n x n Gram, penalty matrix, one n x n Cholesky
+        # factor per rho) peaks at 81 MB here
+        cfg = sysmodel.SystemConfig()
+        topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(0))
+        reg = solvers.tv_spec(sysmodel.neighbor_sets(topo, cfg.r), 0.06)
+        A = a.a / a.a.max()
+        tracemalloc.start()
+        try:
+            ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
+            for rho in (0.5, 1.0, 2.0):
+                ws.factor(rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, f"workspace peak {peak / 1e6:.1f} MB"
 
 
 class TestNnls:

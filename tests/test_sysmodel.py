@@ -72,6 +72,30 @@ class TestTopology:
         )
         assert np.all(sizes[interior] == 9)
 
+    @pytest.mark.parametrize(
+        "grid_side, r",
+        [(36, 0.05), (18, 0.1), (36, 0.07)],
+        ids=["default", "quick", "non-grid-radius"],
+    )
+    def test_neighbor_sets_match_brute_force(self, grid_side, r):
+        topo = sysmodel.build_topology(
+            sysmodel.SystemConfig(K=grid_side**2, grid_side=grid_side, tau_p=6, T=6)
+        )
+        pos = topo.user_positions
+        d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
+        expected = [np.flatnonzero(row < r * r) for row in d2]
+        sets = sysmodel.neighbor_sets(topo, r)
+        assert len(sets) == len(expected)
+        for got, want in zip(sets, expected):
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("r", [0.0, -0.05, float("nan")])
+    def test_neighbor_sets_reject_bad_radius(self, paper_system, r):
+        _, topo, _, _, _ = paper_system
+        with pytest.raises(ConfigurationError, match="r must be"):
+            sysmodel.neighbor_sets(topo, r)
+
 
 class TestGammaCalibration:
     def _one_user_topology(self, dist):
