@@ -94,8 +94,16 @@ class ExperimentConfig:
             raise ConfigurationError("methods must be nonempty")
         if not self.thresholds or not self.lambdas:
             raise ConfigurationError("thresholds and lambdas grids must be nonempty")
+        thresholds = np.asarray(self.thresholds, dtype=float)
+        if not np.all(np.isfinite(thresholds)):
+            raise ConfigurationError("thresholds must be finite")
+        if np.any(np.diff(thresholds) < 0):
+            raise ConfigurationError("thresholds must be sorted ascending")
+        if not all(math.isfinite(lam) and lam >= 0 for lam in self.lambdas):
+            raise ConfigurationError(f"lambdas must be finite and >= 0, got {list(self.lambdas)}")
         if self.antennas_mode not in (simulator.MONTE_CARLO, simulator.ASYMPTOTIC):
             raise ConfigurationError(f"unknown antennas_mode {self.antennas_mode!r}")
+        self.solver_options()  # validates the solver settings
 
     def solver_options(self) -> solvers.SolverOptions:
         return solvers.SolverOptions(

@@ -5,6 +5,7 @@ double exactly, so serialized artifacts are bit-comparable across runs
 and machines. Arrays are emitted as nested lists in row-major order.
 """
 import json
+import math
 import re
 
 import numpy as np
@@ -29,6 +30,8 @@ class _Encoder(json.JSONEncoder):
 
 def _tag(obj):
     if isinstance(obj, (float, np.floating)):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite float {obj} has no JSON representation")
         return _TaggedFloat(float(obj))
     if isinstance(obj, (int, np.integer)):
         return int(obj)
@@ -45,7 +48,10 @@ _TOKEN_RE = re.compile('"' + _FLOAT_TAG + "(.*?)" + _FLOAT_TAG + '"')
 
 
 def dumps(obj, indent=None):
-    """Serialize to JSON with 17-significant-digit floats."""
+    """Serialize to JSON with 17-significant-digit floats.
+
+    Raises ValueError on NaN or infinity, which strict JSON cannot hold.
+    """
     text = json.dumps(_tag(obj), indent=indent, cls=_Encoder)
     return _TOKEN_RE.sub(lambda m: m.group(1), text)
 

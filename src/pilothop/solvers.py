@@ -18,9 +18,13 @@ Optimization and Statistical Learning via ADMM", 2011, sec. 4.2.4) gives
 
     x = (s - W (G + rho/2 I)^-1 A s) / rho,   s = M^-1 rhs,
 
-with W = M^-1 A^T and G = A W computed once. Each x-update is one sparse
-solve plus an m x m solve, and a new rho refactors only the m x m
-capacitance G + rho/2 I; no n x n dense matrix is ever formed.
+with W = M^-1 A^T and G = A W computed once. Users sit on a row-major
+grid, so M is banded; it is factored once by a banded Cholesky and each
+x-update is one banded solve, an m x m triangular solve pair, and the
+products with A and W, each kept as CSR when it is sparse. A new rho
+refactors only the m x m capacitance G + rho/2 I; no n x n dense matrix
+is ever formed. The ADMM state lives in buffers allocated once per solve
+and updated in place.
 
 Plus two independent certificates used by the tests: a projected
 subgradient reference (`subgradient_oracle`) and a minimal-norm
@@ -104,8 +108,10 @@ class SolverOptions:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ConfigurationError("max_iters must be >= 1")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ConfigurationError("tolerances must be > 0")
+        for name in ("rel_tol", "abs_tol"):
+            tol = getattr(self, name)
+            if not (np.isfinite(tol) and tol > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {tol}")
         # the x-update divides by rho
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ConfigurationError(f"rho must be finite and > 0, got {self.rho}")
@@ -215,69 +221,99 @@ def build_group_operator(reg: RegularizerSpec, n: int):
     return B, np.asarray(starts, dtype=np.int64)
 
 
-class _GroupProx:
-    """Vectorized block soft threshold over the stacked group rows."""
+def _banded_cholesky(M) -> np.ndarray:
+    """Lower banded Cholesky factor of the sparse SPD matrix M.
 
-    def __init__(self, starts: np.ndarray):
-        self.starts = starts[:-1]
-        self.sizes = np.diff(starts)
-        self.nonempty = self.sizes > 0
-        self.expand = np.repeat(np.arange(len(self.sizes)), self.sizes)
+    The bandwidth is read from M's entries; on the row-major user grid a
+    neighbor graph couples only nearby rows, so the band is narrow (zero
+    when M is diagonal).
+    """
+    M = M.tocoo()
+    below = M.row >= M.col
+    diag = (M.row - M.col)[below]
+    ab = np.zeros((int(diag.max(initial=0)) + 1, M.shape[0]))
+    ab[diag, M.col[below]] = M.data[below]
+    return scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
 
-    def __call__(self, z: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-        if z.size == 0:
-            return z
-        norms = np.sqrt(np.add.reduceat(z * z, self.starts[self.nonempty]))
-        scale_ne = np.maximum(0.0, 1.0 - thetas[self.nonempty] / np.maximum(norms, 1e-300))
-        scale = np.zeros(len(self.sizes))
-        scale[self.nonempty] = scale_ne
-        return z * scale[self.expand]
+
+def _csr_if_sparse(X: np.ndarray):
+    """X as CSR when at most a quarter of its entries are nonzero, else X.
+
+    A CSR product reads a 4-byte index with every 8-byte value, so at a
+    quarter density it reads under half the bytes of a dense product.
+    """
+    if np.count_nonzero(X) <= X.size // 4:
+        return sp.csr_matrix(X)
+    return X
 
 
 class RegularizedWorkspace:
     """Factorized x-update state reusable across right-hand sides.
 
     The measurement matrix and group structure are trial-invariant in the
-    experiment harness, so the stacked B operator, the sparse LU of
-    M = B^T B + I, W = M^-1 A^T, G = A W and the Cholesky factors of the
-    m x m capacitance G + rho/2 I (one per visited penalty value) are
-    computed once and shared by every solve.
+    experiment harness, so everything that does not depend on y or rho is
+    built once and shared by every solve:
+
+    * the stacked operator C = [B; I] (CSR) and its transpose, with group
+      j owning the padded rows j*width : (j+1)*width, width being the
+      largest group's row count; rows past a group's own are empty, so a
+      group's block is one row of a (groups, width) view;
+    * the banded Cholesky factor of M = B^T B + I, solved with LAPACK
+      ``pbtrs`` (the band is read from M: 37 for TV on the 36x36 grid at
+      r = 0.05, 0 for group-LASSO, whose M is diagonal);
+    * W = M^-1 A^T and G = A W, with A and W kept as CSR when sparse (A
+      has 10 nonzeros per column; W has A^T's sparsity when M is
+      diagonal);
+    * the Cholesky factors of the m x m capacitance G + rho/2 I, one per
+      visited penalty value, solved with LAPACK ``potrs``.
     """
 
     def __init__(self, A: np.ndarray, reg: RegularizerSpec, options: SolverOptions):
         A, _ = _check_problem(A, np.zeros(A.shape[0]))
-        self.A = A
         self.reg = reg
         self.options = options
-        self.n = A.shape[1]
-        self.B, self.starts = build_group_operator(reg, self.n)
-        self.m_groups = self.B.shape[0]
-        self.Bt = self.B.T.tocsr()
-        # identity block appends the non-negativity copy u = x
-        M = (self.Bt @ self.B + sp.identity(self.n, format="csr")).tocsc()
-        # scipy loads sp.linalg on first access, so NNLS-only runs never pay
-        # its ~2 MB of resident memory
-        self.solve_M = sp.linalg.splu(M).solve
-        self.W = self.solve_M(A.T)
-        self.G = A @ self.W
+        self.n = n = A.shape[1]
+        B, starts = build_group_operator(reg, n)
+        sizes = np.diff(starts)
+        self.m_groups = B.shape[0]
+        self.n_groups = len(sizes)
+        self.width = int(sizes.max(initial=0))
+        group = np.repeat(np.arange(self.n_groups), sizes)
+        padded = group * self.width + np.arange(self.m_groups) - starts[group]
+        B = B.tocoo()
+        B = sp.csr_matrix(
+            (B.data, (padded[B.row], B.col)), shape=(self.n_groups * self.width, n)
+        )
+        # the identity block appends the non-negativity copy u = x
+        self.C = sp.vstack([B, sp.identity(n)], format="csr")
+        self.Ct = self.C.T.tocsr()
+        self._chol_M = _banded_cholesky(self.Ct @ self.C)
+        self._pbtrs, self._potrs = scipy.linalg.get_lapack_funcs(
+            ("pbtrs", "potrs"), (self._chol_M,)
+        )
+        W, _ = self._pbtrs(self._chol_M, A.T, lower=1)
+        self.G = A @ W
+        self.A = _csr_if_sparse(A)
+        self.W = _csr_if_sparse(W)
         self.weights = reg.weight_vector()
-        self.prox = _GroupProx(self.starts)
-        self._factors: dict[float, tuple] = {}
+        self._factors: dict[float, np.ndarray] = {}
 
-    def factor(self, rho: float):
-        """Cholesky factor of the capacitance G + rho/2 I, cached per rho."""
+    def factor(self, rho: float) -> np.ndarray:
+        """Lower Cholesky factor of the capacitance G + rho/2 I, cached per rho."""
         f = self._factors.get(rho)
         if f is None:
             cap = self.G + 0.5 * rho * np.eye(self.G.shape[0])
-            f = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
+            f, _ = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
             self._factors[rho] = f
         return f
 
     def x_update(self, rhs: np.ndarray, rho: float) -> np.ndarray:
         """Solve (2 A^T A + rho (B^T B + I)) x = rhs by the Woodbury identity."""
-        s = self.solve_M(rhs)
-        c = scipy.linalg.cho_solve(self.factor(rho), self.A @ s, check_finite=False)
-        return (s - self.W @ c) / rho
+        s, _ = self._pbtrs(self._chol_M, rhs, lower=1)
+        c, _ = self._potrs(self.factor(rho), self.A @ s, lower=1, overwrite_b=1)
+        s -= self.W @ c
+        s /= rho
+        return s
 
 
 def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
@@ -333,8 +369,11 @@ def regularized_solve(
     Splitting: z = [B x; x] with the block soft threshold on the group
     rows and the orthant projection on the identity block. The x-update
     solves (2 A^T A + rho (B^T B + I)) x = rhs through the workspace's
-    Woodbury form: one sparse solve with B^T B + I and one m x m solve
+    Woodbury form: one banded solve with B^T B + I and one m x m solve
     with the capacitance factor cached for the current penalty value.
+    The stacked z, u and relaxed-point vectors are allocated once and
+    updated in place; group j's rows are row j of a (groups, width) view,
+    so the block soft threshold is a row norm and a broadcast multiply.
     """
     A, y = _check_problem(A, y)
     options = options or SolverOptions()
@@ -344,39 +383,53 @@ def regularized_solve(
     n = ws.n
     Aty2 = 2.0 * (A.T @ y)
     rho = options.rho
+    relax = options.over_relax
     thetas_base = reg.lam * ws.weights  # theta_j = lam*c_j / rho at prox time
-    m_total = ws.m_groups + n
+    m_total = ws.m_groups + n  # real stacked rows; the padding is not counted
+    pad = ws.n_groups * ws.width
 
+    # stacked [group rows; identity rows] buffers, updated in place
+    z, u, z_old, w, scratch = (np.zeros(ws.C.shape[0]) for _ in range(5))
+    z_groups = z[:pad].reshape(ws.n_groups, ws.width)
+    w_groups = w[:pad].reshape(ws.n_groups, ws.width)
+    norms = np.empty(ws.n_groups)
     x = np.zeros(n)
-    z = np.zeros(m_total)
-    u = np.zeros(m_total)  # scaled dual
     converged = False
     it = 0
     history = []
-    relax = options.over_relax
     for it in range(1, options.max_iters + 1):
-        # x-update
-        v = z - u
-        rhs = Aty2 + rho * (ws.Bt @ v[: ws.m_groups] + v[ws.m_groups :])
+        check = it % options.check_every == 0 or it == options.max_iters
+        # x-update: rhs = 2 A^T y + rho C^T (z - u)
+        np.subtract(z, u, out=scratch)
+        rhs = ws.Ct @ scratch
+        rhs *= rho
+        rhs += Aty2
         x = ws.x_update(rhs, rho)
-        Bx = np.concatenate([ws.B @ x, x])
-        # z-update with over-relaxation
-        Bx_hat = relax * Bx + (1.0 - relax) * z
-        w = Bx_hat + u
-        z_old = z
-        z = np.concatenate(
-            [ws.prox(w[: ws.m_groups], thetas_base / rho), np.maximum(0.0, w[ws.m_groups :])]
-        )
-        # dual update
-        u = u + Bx_hat - z
-        if it % options.check_every == 0 or it == options.max_iters:
-            r_pri = np.linalg.norm(Bx - z)
-            dz = z - z_old
-            r_dual = rho * np.linalg.norm(ws.Bt @ dz[: ws.m_groups] + dz[ws.m_groups :])
+        Bx = ws.C @ x
+        # over-relaxed point plus dual: w = relax Bx + (1 - relax) z + u
+        np.multiply(z, 1.0 - relax, out=scratch)
+        np.multiply(Bx, relax, out=w)
+        w += scratch
+        w += u
+        if check:
+            z_old[:] = z
+        # z-update: block soft threshold per group row, orthant projection
+        np.einsum("ij,ij->i", w_groups, w_groups, out=norms)
+        np.sqrt(norms, out=norms)
+        scale = np.maximum(0.0, 1.0 - (thetas_base / rho) / np.maximum(norms, 1e-300))
+        np.multiply(w_groups, scale[:, None], out=z_groups)
+        np.maximum(w[pad:], 0.0, out=z[pad:])
+        # dual update: u + (relaxed point) - z
+        np.subtract(w, z, out=u)
+        if check:
+            np.subtract(Bx, z, out=scratch)
+            r_pri = np.linalg.norm(scratch)
+            np.subtract(z, z_old, out=scratch)
+            r_dual = rho * np.linalg.norm(ws.Ct @ scratch)
             eps_pri = np.sqrt(m_total) * options.abs_tol + options.rel_tol * max(
                 np.linalg.norm(Bx), np.linalg.norm(z)
             )
-            dual_ref = rho * np.linalg.norm(ws.Bt @ u[: ws.m_groups] + u[ws.m_groups :])
+            dual_ref = rho * np.linalg.norm(ws.Ct @ u)
             eps_dual = np.sqrt(n) * options.abs_tol + options.rel_tol * max(dual_ref, np.linalg.norm(Aty2))
             history.append((it, r_pri, r_dual))
             if r_pri <= eps_pri and r_dual <= eps_dual:

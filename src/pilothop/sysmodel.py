@@ -43,14 +43,13 @@ class SystemConfig:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.E < 0:
             raise ConfigurationError(f"E must be >= 0, got {self.E}")
-        if self.sigma2 <= 0:
-            raise ConfigurationError(f"sigma2 must be > 0, got {self.sigma2}")
-        if self.sigma_e2 <= 0:
-            raise ConfigurationError(f"sigma_e2 must be > 0, got {self.sigma_e2}")
-        if self.r <= 0:
-            raise ConfigurationError(f"r must be > 0, got {self.r}")
-        if self.p <= 0:
-            raise ConfigurationError(f"p must be > 0, got {self.p}")
+        for name in ("sigma2", "sigma_e2", "r", "p"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be finite and > 0, got {value}")
+        for name in ("snr_db", "eta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
         # unique hopping sequences must exist
         if self.K > self.tau_p**self.T:
             raise ConfigurationError(

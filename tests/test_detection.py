@@ -118,6 +118,26 @@ class TestMatchEvents:
             )
             assert out.rmsd == pytest.approx(np.sqrt(best / 4))
 
+    @pytest.mark.parametrize("n_events", range(1, 7))
+    def test_pairing_is_a_brute_force_optimum(self, n_events):
+        rng = np.random.default_rng(20 + n_events)
+        for draw in range(30):
+            true_ev = rng.random((n_events, 2))
+            est = rng.random((n_events, 2))
+            if draw % 3 == 0:
+                # surplus centroids parked at the plane center tie exactly
+                est[n_events // 2:] = detection.PLANE_CENTER
+            out = detection.match_events(true_ev, est)
+            cost = np.sum((true_ev[:, None, :] - est[None, :, :]) ** 2, axis=2)
+            best = min(
+                cost[np.arange(n_events), list(p)].sum()
+                for p in itertools.permutations(range(n_events))
+            )
+            assert sorted(out.pairing) == list(range(n_events))
+            paired = cost[np.arange(n_events), list(out.pairing)].sum()
+            assert paired == pytest.approx(best, rel=1e-12, abs=1e-15)
+            assert out.rmsd == pytest.approx(np.sqrt(best / n_events), rel=1e-12, abs=1e-15)
+
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
             detection.match_events(np.zeros((2, 2)), np.zeros((3, 2)))

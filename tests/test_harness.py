@@ -172,6 +172,11 @@ class TestOutputs:
         dump = serialize.load(tmp_path / "trials" / files[0])
         assert len(dump["alpha"]) == config.system.K
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.array([1.0, -np.inf])])
+    def test_dumps_rejects_non_finite(self, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dumps({"x": value})
+
     def test_sweep_covers_lambda_grid(self, tmp_path):
         config = tiny_experiment(n_trials=1, lambdas=(0.0, 0.06))
         roc_rows, _ = harness.sweep_lambda(config)
@@ -237,6 +242,44 @@ class TestCli:
         rc = cli.main(["roc", "--config", str(path), "--out", str(out)])
         assert rc == 2
         assert "lambda" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_more_than_eight_events(self, tmp_path):
+        system = replace(tiny_experiment().system, E=9)
+        cfg = self.write_config(tmp_path, system=system)
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--config", cfg, "--trials", "1", "--out", str(out)])
+        assert rc == 0
+        with open(out / "rmsd.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert rows and all(np.isfinite(float(row[3])) for row in rows)
+
+    @pytest.mark.parametrize(
+        "fragment, name",
+        [
+            ('"solver_rel_tol": NaN', "rel_tol"),
+            ('"system": {"r": NaN}', "r must"),
+            ('"system": {"sigma2": NaN}', "sigma2"),
+            ('"system": {"sigma_e2": NaN}', "sigma_e2"),
+            ('"system": {"p": NaN}', "p must"),
+            ('"system": {"snr_db": Infinity}', "snr_db"),
+            ('"system": {"eta": NaN}', "eta"),
+            ('"thresholds": [0.1, NaN, 0.5]', "thresholds must be finite"),
+            ('"thresholds": [0.5, 0.1]', "sorted"),
+            ('"lambdas": [0.0, NaN]', "lambdas"),
+        ],
+        ids=["rel_tol", "r", "sigma2", "sigma_e2", "p", "snr_db", "eta",
+             "nan-threshold", "unsorted-thresholds", "nan-lambda-grid"],
+    )
+    def test_non_finite_or_unsorted_input_exit_code(self, tmp_path, capsys, fragment, name):
+        # json.loads accepts the bare NaN and Infinity tokens
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema_version": 1, ' + fragment + "}")
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--quick", "--trials", "1", "--config", str(path),
+                       "--out", str(out)])
+        assert rc == 2
+        assert name in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_missing_config_exit_code(self, tmp_path, capsys):

@@ -83,6 +83,12 @@ class TestOptionsValidation:
         with pytest.raises(ConfigurationError, match="over_relax"):
             solvers.SolverOptions(over_relax=relax)
 
+    @pytest.mark.parametrize("name", ["rel_tol", "abs_tol"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, float("nan"), float("inf")])
+    def test_rejects_bad_tolerance(self, name, tol):
+        with pytest.raises(ConfigurationError, match=name):
+            solvers.SolverOptions(**{name: tol})
+
     def test_accepts_interior_values(self):
         opts = solvers.SolverOptions(rho=1e-3, over_relax=1.0)
         assert opts.rho == 1e-3 and opts.over_relax == 1.0
@@ -164,6 +170,108 @@ class TestXUpdate:
         finally:
             tracemalloc.stop()
         assert peak < 10e6, f"workspace peak {peak / 1e6:.1f} MB"
+
+
+def reference_admm(A, y, reg, options):
+    """The ADMM of regularized_solve written plainly, as a reference.
+
+    Dense stacked operator C = [B; I] built from the group definition, a
+    dense x-solve of (2 A^T A + rho C^T C) x = rhs at every iteration and
+    the block soft threshold by group index; same splitting, over-relaxation,
+    residual-balancing rho policy, stopping rule and snapping.
+    Returns (alpha_hat, iterations, converged).
+    """
+    n = A.shape[1]
+    rows, owner = [], []
+    for j, g in enumerate(reg.groups):
+        for i in g:
+            row = np.zeros(n)
+            if reg.kind == solvers.GLASSO:
+                row[i] = 1.0
+            elif i != j:
+                row[j], row[i] = 1.0, -1.0
+            else:
+                continue
+            rows.append(row)
+            owner.append(j)
+    m_groups = len(rows)
+    owner = np.array(owner, dtype=np.int64)
+    C = np.vstack(rows + [np.eye(n)])
+    AtA2 = 2.0 * A.T @ A
+    Aty2 = 2.0 * A.T @ y
+    thetas = reg.lam * reg.weight_vector()
+    relax = options.over_relax
+    rho = options.rho
+    m_total = m_groups + n
+    x = np.zeros(n)
+    z = np.zeros(m_total)
+    u = np.zeros(m_total)
+    converged = False
+    for it in range(1, options.max_iters + 1):
+        x = np.linalg.solve(AtA2 + rho * C.T @ C, Aty2 + rho * C.T @ (z - u))
+        Cx = C @ x
+        relaxed = relax * Cx + (1.0 - relax) * z
+        w = relaxed + u
+        z_old = z
+        z = np.maximum(0.0, w)
+        wg = w[:m_groups]
+        norms = np.sqrt(np.bincount(owner, wg * wg, minlength=len(reg.groups)))
+        scale = np.maximum(0.0, 1.0 - (thetas / rho) / np.maximum(norms, 1e-300))
+        z[:m_groups] = wg * scale[owner]
+        u = u + relaxed - z
+        if it % options.check_every == 0 or it == options.max_iters:
+            r_pri = np.linalg.norm(Cx - z)
+            r_dual = rho * np.linalg.norm(C.T @ (z - z_old))
+            eps_pri = np.sqrt(m_total) * options.abs_tol + options.rel_tol * max(
+                np.linalg.norm(Cx), np.linalg.norm(z))
+            eps_dual = np.sqrt(n) * options.abs_tol + options.rel_tol * max(
+                rho * np.linalg.norm(C.T @ u), np.linalg.norm(Aty2))
+            if r_pri <= eps_pri and r_dual <= eps_dual:
+                converged = True
+                break
+            if options.adapt_rho:
+                if r_pri > 10.0 * r_dual:
+                    rho, u = 2.0 * rho, u / 2.0
+                elif r_dual > 10.0 * r_pri:
+                    rho, u = rho / 2.0, 2.0 * u
+    alpha = np.maximum(0.0, x)
+    snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))
+    alpha[alpha < snap] = 0.0
+    return alpha, it, converged
+
+
+class TestReferenceLoop:
+    """regularized_solve against reference_admm: identical iteration count,
+    alpha_hat within 1e-9, on the 8x8 user grid of a pilot-hopping system."""
+
+    @pytest.mark.parametrize(
+        "kind, r, dense_a",
+        [
+            ("tv", 0.2, False),      # 3x3 neighborhoods: 3, 5 or 8 rows per group
+            ("glasso", 0.2, False),  # M diagonal, W as sparse as A^T
+            ("tv", 0.3, False),      # 5x5 minus corners: wider band of M
+            ("glasso", 0.3, False),
+            ("tv", 0.1, False),      # singleton neighbor sets: B has no rows
+            ("tv", 0.2, True),       # dense A and W
+        ],
+        ids=["tv", "glasso", "tv-wide", "glasso-wide", "tv-singletons", "tv-dense-a"],
+    )
+    def test_matches_reference(self, kind, r, dense_a):
+        cfg = sysmodel.SystemConfig(K=64, grid_side=8, M=8, tau_p=4, T=4, r=r)
+        topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        A = np.abs(rng.standard_normal(a.a.shape)) if dense_a else a.a / a.a.max()
+        alpha = np.zeros(cfg.K)
+        alpha[[18, 19, 26, 27, 45]] = 1.0
+        y = A @ alpha + 0.05 * rng.standard_normal(A.shape[0])
+        groups = sysmodel.neighbor_sets(topo, r)
+        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, 0.06)
+        options = solvers.SolverOptions()
+        res = solvers.regularized_solve(A, y, reg, options)
+        ref_alpha, ref_iters, ref_converged = reference_admm(A, y, reg, options)
+        assert res.converged and ref_converged
+        assert res.iterations == ref_iters
+        assert np.max(np.abs(res.alpha_hat - ref_alpha)) <= 1e-9
 
 
 class TestNnls:
