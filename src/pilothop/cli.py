@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from . import detection, harness, serialize, simulator, solvers, sysmodel
+from . import detection, harness, serialize, sysmodel
 from .errors import ConfigurationError, NumericalError
 
 
@@ -33,7 +33,7 @@ def _load_config(args) -> harness.ExperimentConfig:
     return config
 
 
-def _add_common(p, trials=True):
+def _add_common(p, trials=True, campaign=False):
     p.add_argument("--config", metavar="PATH", help="experiment config JSON")
     p.add_argument("--seed", type=int, metavar="U64", help="master seed override")
     if trials:
@@ -41,8 +41,9 @@ def _add_common(p, trials=True):
     p.add_argument("--out", metavar="DIR", help="output directory override")
     p.add_argument("--quick", action="store_true",
                    help="reduced-scale preset (18x18 grid, 6 pilots/intervals, 50 trials)")
-    p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
-    p.add_argument("--dump-trials", action="store_true", help="write per-trial JSON dumps")
+    if campaign:
+        p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
+        p.add_argument("--dump-trials", action="store_true", help="write per-trial JSON dumps")
 
 
 def cmd_topology(args):
@@ -60,12 +61,11 @@ def cmd_topology(args):
 def cmd_simulate(args):
     config = _load_config(args)
     ctx = harness.build_context(config)
-    out_dir = config.output_dir
-    trial_dir = os.path.join(out_dir, "trials")
+    trial_dir = os.path.join(config.output_dir, "trials")
     os.makedirs(trial_dir, exist_ok=True)
     for i in range(config.n_trials):
-        result = harness.run_trial(ctx, i, keep_dump=True)
-        serialize.dump(result.dump, os.path.join(trial_dir, f"trial_{i:05d}.json"))
+        dump = harness.trial_dump(ctx, i, *harness.simulate_trial(ctx, i))
+        serialize.dump(dump, os.path.join(trial_dir, f"trial_{i:05d}.json"))
     print(f"wrote {config.n_trials} trial dumps to {trial_dir}")
     return 0
 
@@ -81,16 +81,12 @@ def cmd_detect(args):
             f"trial dump has {y.shape[0]} measurements, system expects {ctx.a_norm.shape[0]}"
         )
     y_norm = y / ctx.scale
-    options = config.solver_options()
+    workspaces: dict = {}
     rows = []
     for mi, method in enumerate(config.methods):
-        reg = ctx.reg_specs[mi]
-        if reg is None:
-            result = solvers.nnls_solve(ctx.a_norm, y_norm, options)
-        else:
-            result = solvers.regularized_solve(ctx.a_norm, y_norm, reg, options)
-        for thr, cm in detection.roc_sweep(result.alpha_hat, truth, config.thresholds):
-            rows.append((method.label, method.lam, thr, cm.p_fa, cm.p_m, 1))
+        result = harness.solve_method(ctx, mi, y_norm, workspaces)
+        for det, cm in detection.roc_sweep(result.alpha_hat, truth, config.thresholds):
+            rows.append((method.kind, method.lam, det.threshold, cm.p_fa, cm.p_m, 1))
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "detect.csv")
@@ -99,30 +95,16 @@ def cmd_detect(args):
     return 0
 
 
-def cmd_roc(args):
+def cmd_campaign(args):
+    """roc, rmsd and sweep-lambda: one Monte Carlo campaign writing both CSVs."""
     config = _load_config(args)
+    if args.command == "sweep-lambda":
+        config = harness.sweep_lambda_config(config)
     harness.run_experiment(
         config, workers=args.workers, dump_trials=args.dump_trials,
         out_dir=config.output_dir,
     )
-    print(f"wrote {os.path.join(config.output_dir, 'roc.csv')}")
-    return 0
-
-
-def cmd_rmsd(args):
-    config = _load_config(args)
-    harness.run_experiment(
-        config, workers=args.workers, dump_trials=args.dump_trials,
-        out_dir=config.output_dir,
-    )
-    print(f"wrote {os.path.join(config.output_dir, 'rmsd.csv')}")
-    return 0
-
-
-def cmd_sweep_lambda(args):
-    config = _load_config(args)
-    harness.sweep_lambda(config, workers=args.workers, out_dir=config.output_dir)
-    print(f"wrote {os.path.join(config.output_dir, 'roc.csv')}")
+    print(f"wrote roc.csv and rmsd.csv to {config.output_dir}")
     return 0
 
 
@@ -142,21 +124,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("detect", help="run detectors on a dumped trial")
-    _add_common(p)
+    _add_common(p, trials=False)
     p.add_argument("--trial", required=True, metavar="PATH", help="trial dump JSON")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("roc", help="Monte Carlo ROC campaign")
-    _add_common(p)
-    p.set_defaults(func=cmd_roc)
-
-    p = sub.add_parser("rmsd", help="Monte Carlo event-localization campaign")
-    _add_common(p)
-    p.set_defaults(func=cmd_rmsd)
-
-    p = sub.add_parser("sweep-lambda", help="ROC family over the lambda grid")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep_lambda)
+    for name, help_text in (
+        ("roc", "Monte Carlo ROC campaign"),
+        ("rmsd", "Monte Carlo event-localization campaign"),
+        ("sweep-lambda", "ROC family over the lambda grid"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_common(p, campaign=True)
+        p.set_defaults(func=cmd_campaign)
     return parser
 
 

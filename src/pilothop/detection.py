@@ -58,14 +58,19 @@ def confusion_metrics(detected: np.ndarray, truth: np.ndarray) -> ConfusionMetri
 
 
 def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
-    """One (threshold, ConfusionMetrics) pair per threshold, ascending."""
+    """One (DetectionResult, ConfusionMetrics) pair per threshold, ascending.
+
+    The one threshold sweep: campaigns read the miss / false-alarm rates
+    and localize each detection mask, ``detect`` writes the rates.
+    """
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(thresholds) < 0):
         raise ValueError("thresholds must be sorted ascending")
-    return [
-        (float(thr), confusion_metrics(threshold_detect(alpha_hat, thr).detected, truth))
-        for thr in thresholds
-    ]
+    sweep = []
+    for thr in thresholds:
+        det = threshold_detect(alpha_hat, thr)
+        sweep.append((det, confusion_metrics(det.detected, truth)))
+    return sweep
 
 
 def _kmeans_pp_init(points, n_clusters, rng):

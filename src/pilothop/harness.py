@@ -56,10 +56,6 @@ class MethodSpec:
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
 
-    @property
-    def label(self) -> str:
-        return self.kind
-
 
 def default_thresholds() -> np.ndarray:
     # normalized activity scale; 1.0 is a perfectly recovered active user
@@ -90,6 +86,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_trials < 1:
             raise ConfigurationError("n_trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigurationError(f"master_seed must be >= 0, got {self.master_seed}")
         if not self.methods:
             raise ConfigurationError("methods must be nonempty")
         if not self.thresholds or not self.lambdas:
@@ -150,9 +148,14 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+    for key in ("methods", "thresholds", "lambdas"):
+        if key in doc and not isinstance(doc[key], list):
+            raise ConfigurationError(f"{key} must be a list, got {doc[key]!r}")
     kwargs = {}
     if "system" in doc:
         sysdoc = doc["system"]
+        if not isinstance(sysdoc, dict):
+            raise ConfigurationError(f"system must be an object, got {sysdoc!r}")
         unknown = set(sysdoc) - _SYSTEM_KEYS
         if unknown:
             raise ConfigurationError(f"unknown system keys: {sorted(unknown)}")
@@ -160,24 +163,29 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if "methods" in doc:
         methods = []
         for i, m in enumerate(doc["methods"]):
+            if not isinstance(m, dict):
+                raise ConfigurationError(f"methods[{i}] must be an object, got {m!r}")
             unknown = set(m) - {"kind", "lambda"}
             if unknown:
                 raise ConfigurationError(f"methods[{i}]: unknown keys {sorted(unknown)}")
             if "kind" not in m:
                 raise ConfigurationError(f"methods[{i}]: missing required field: kind")
-            methods.append(MethodSpec(m["kind"], float(m.get("lambda", 0.0))))
+            lam = sysmodel.require_number(f"methods[{i}].lambda", m.get("lambda", 0.0))
+            methods.append(MethodSpec(m["kind"], float(lam)))
         kwargs["methods"] = tuple(methods)
     for key in ("thresholds", "lambdas"):
         if key in doc:
-            kwargs[key] = tuple(float(v) for v in doc[key])
+            kwargs[key] = tuple(float(sysmodel.require_number(key, v)) for v in doc[key])
     for key in ("n_trials", "master_seed", "solver_max_iters"):
         if key in doc:
-            kwargs[key] = int(doc[key])
+            kwargs[key] = int(sysmodel.require_number(key, doc[key], integer=True))
     for key in ("antennas_mode", "output_dir"):
         if key in doc:
             kwargs[key] = str(doc[key])
     if "solver_rel_tol" in doc:
-        kwargs["solver_rel_tol"] = float(doc["solver_rel_tol"])
+        kwargs["solver_rel_tol"] = float(
+            sysmodel.require_number("solver_rel_tol", doc["solver_rel_tol"])
+        )
     try:
         return ExperimentConfig(**kwargs)
     except TypeError as exc:
@@ -273,13 +281,55 @@ def _init_worker(ctx: SystemContext):
     _WORKER_WORKSPACES = {}
 
 
-def _workspace_for(ctx: SystemContext, method_index: int, workspaces: dict):
+def simulate_trial(ctx: SystemContext, trial_index: int):
+    """Events, activity and normalized energies y' of one trial.
+
+    Deterministic in (master_seed, trial_index); solves nothing.
+    """
+    config = ctx.config
+    sys_cfg = config.system
+    seed = config.master_seed
+    events = simulator.sample_events(sys_cfg, stream(seed, trial_index, EVENTS))
+    activity = simulator.sample_activity(
+        ctx.topology, events, sys_cfg, stream(seed, trial_index, ACTIVITY)
+    )
+    if config.antennas_mode == simulator.ASYMPTOTIC:
+        y_norm = ctx.a_norm @ activity.alpha.astype(float)
+    else:
+        energy = simulator.monte_carlo_energy(
+            ctx.code, activity, ctx.fading, sys_cfg,
+            stream(seed, trial_index, CHANNELS),
+            noise_rng=stream(seed, trial_index, NOISE),
+        )
+        y_norm = energy.y / ctx.scale
+    return events, activity, y_norm
+
+
+def trial_dump(ctx: SystemContext, trial_index: int, events, activity, y_norm) -> dict:
+    """The JSON record of one realization, as `simulate` and --dump-trials write it."""
+    return {
+        "seed": {"master_seed": ctx.config.master_seed, "trial_index": trial_index},
+        "events": events.positions,
+        "alpha": activity.alpha,
+        "y": y_norm * ctx.scale,
+        "source": ctx.config.antennas_mode,
+    }
+
+
+def solve_method(
+    ctx: SystemContext, method_index: int, y_norm: np.ndarray, workspaces: dict
+) -> solvers.SolverResult:
+    """Activity estimate of one configured method: NNLS when it has no
+    regularizer, else ADMM on the method's workspace, built on first use
+    and kept in ``workspaces`` under the method index."""
+    options = ctx.config.solver_options()
+    reg = ctx.reg_specs[method_index]
+    if reg is None:
+        return solvers.nnls_solve(ctx.a_norm, y_norm, options)
     ws = workspaces.get(method_index)
     if ws is None:
-        reg = ctx.reg_specs[method_index]
-        ws = solvers.RegularizedWorkspace(ctx.a_norm, reg, ctx.config.solver_options())
-        workspaces[method_index] = ws
-    return ws
+        ws = workspaces[method_index] = solvers.RegularizedWorkspace(ctx.a_norm, reg, options)
+    return solvers.regularized_solve(ctx.a_norm, y_norm, reg, options, workspace=ws)
 
 
 def run_trial(
@@ -298,46 +348,20 @@ def run_trial(
     if workspaces is None:
         workspaces = {}
     config = ctx.config
-    sys_cfg = config.system
     seed = config.master_seed
+    events, activity, y_norm = simulate_trial(ctx, trial_index)
 
-    events = simulator.sample_events(sys_cfg, stream(seed, trial_index, EVENTS))
-    activity = simulator.sample_activity(
-        ctx.topology, events, sys_cfg, stream(seed, trial_index, ACTIVITY)
-    )
-    if config.antennas_mode == simulator.ASYMPTOTIC:
-        y_norm = ctx.a_norm @ activity.alpha.astype(float)
-        source = simulator.ASYMPTOTIC
-    else:
-        energy = simulator.monte_carlo_energy(
-            ctx.code, activity, ctx.fading, sys_cfg,
-            stream(seed, trial_index, CHANNELS),
-            noise_rng=stream(seed, trial_index, NOISE),
-        )
-        y_norm = energy.y / ctx.scale
-        source = simulator.MONTE_CARLO
-
-    thresholds = np.asarray(config.thresholds)
-    n_methods = len(config.methods)
-    n_thr = thresholds.shape[0]
-    p_m = np.empty((n_methods, n_thr))
-    p_fa = np.empty((n_methods, n_thr))
-    rmsd = np.full((n_methods, n_thr), np.nan)
-    zero_detected = np.zeros((n_methods, n_thr), dtype=bool)
-    converged = np.zeros(n_methods, dtype=bool)
-
-    options = config.solver_options()
-    for mi, method in enumerate(config.methods):
-        reg = ctx.reg_specs[mi]
-        if reg is None:
-            result = solvers.nnls_solve(ctx.a_norm, y_norm, options)
-        else:
-            ws = _workspace_for(ctx, mi, workspaces)
-            result = solvers.regularized_solve(ctx.a_norm, y_norm, reg, options, workspace=ws)
+    shape = (len(config.methods), len(config.thresholds))
+    p_m = np.empty(shape)
+    p_fa = np.empty(shape)
+    rmsd = np.full(shape, np.nan)
+    zero_detected = np.zeros(shape, dtype=bool)
+    converged = np.zeros(shape[0], dtype=bool)
+    for mi in range(shape[0]):
+        result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
-        for ti, thr in enumerate(thresholds):
-            det = detection.threshold_detect(result.alpha_hat, thr)
-            cm = detection.confusion_metrics(det.detected, activity.alpha)
+        sweep = detection.roc_sweep(result.alpha_hat, activity.alpha, config.thresholds)
+        for ti, (det, cm) in enumerate(sweep):
             p_m[mi, ti] = cm.p_m
             p_fa[mi, ti] = cm.p_fa
             zero_detected[mi, ti] = not det.detected.any()
@@ -348,18 +372,10 @@ def run_trial(
                 )
                 rmsd[mi, ti] = est.rmsd
 
-    dump = None
-    if keep_dump:
-        dump = {
-            "seed": {"master_seed": seed, "trial_index": trial_index},
-            "events": events.positions,
-            "alpha": activity.alpha,
-            "y": y_norm * ctx.scale,
-            "source": source,
-        }
+    dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
     n_active = int(activity.alpha.sum())
     return TrialResult(
-        trial_index, n_active, sys_cfg.K - n_active,
+        trial_index, n_active, config.system.K - n_active,
         p_m, p_fa, rmsd, zero_detected, converged, dump,
     )
 
@@ -411,11 +427,11 @@ def aggregate(config: ExperimentConfig, results: list[TrialResult]):
     for mi, method in enumerate(config.methods):
         for ti, thr in enumerate(thresholds):
             roc_rows.append(
-                (method.label, method.lam, float(thr),
+                (method.kind, method.lam, float(thr),
                  float(p_fa_mean[mi, ti]), float(p_m_mean[mi, ti]), n_trials)
             )
             rmsd_rows.append(
-                (method.label, method.lam, float(thr),
+                (method.kind, method.lam, float(thr),
                  float(rmsd_mean[mi, ti]), float(rmsd_stderr[mi, ti]),
                  float(zero_rate[mi, ti]), n_trials)
             )
@@ -485,15 +501,12 @@ def run_experiment(
     return roc_rows, rmsd_rows
 
 
-def sweep_lambda(config: ExperimentConfig, workers: int = 1, out_dir: str | None = None):
-    """ROC family over the lambda grid for both regularizer kinds.
+def sweep_lambda_config(config: ExperimentConfig) -> ExperimentConfig:
+    """The campaign config of ``sweep-lambda``: TV and group-LASSO at every
+    lambda of the grid in place of the configured methods.
 
     lambda=0 entries are solved on the plain NNLS path and are labeled by
     their kind; they coincide with NNLS up to solver tolerance.
     """
-    methods = []
-    for kind in ("tv", "glasso"):
-        for lam in config.lambdas:
-            methods.append(MethodSpec(kind, lam))
-    swept = replace(config, methods=tuple(methods))
-    return run_experiment(swept, workers=workers, out_dir=out_dir)
+    methods = tuple(MethodSpec(kind, lam) for kind in ("tv", "glasso") for lam in config.lambdas)
+    return replace(config, methods=methods)

@@ -26,13 +26,12 @@ refactors only the m x m capacitance G + rho/2 I; no n x n dense matrix
 is ever formed. The ADMM state lives in buffers allocated once per solve
 and updated in place.
 
-Plus two independent certificates used by the tests: a projected
-subgradient reference (`subgradient_oracle`) and a minimal-norm
-subgradient residual (`kkt_residual`).
+Plus an optimality certificate independent of both solvers, the
+minimal-norm subgradient residual (`kkt_residual`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -40,9 +39,11 @@ import scipy.sparse as sp
 
 from .errors import ConfigurationError
 
-NONE = "none"
 GLASSO = "glasso"
 TV = "tv"
+
+# iterations between convergence checks (and ADMM penalty updates)
+CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
@@ -61,28 +62,23 @@ class RegularizerSpec:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (NONE, GLASSO, TV):
+        if self.kind not in (GLASSO, TV):
             raise ConfigurationError(f"unknown regularizer kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if self.kind != NONE:
-            if not self.groups:
-                raise ConfigurationError("regularizer needs at least one group")
-            for j, g in enumerate(self.groups):
-                if len(g) == 0:
-                    raise ConfigurationError(f"group {j} is empty")
-            w = self.weights
-            if w is not None and np.any(np.asarray(w) <= 0):
-                raise ConfigurationError("weights must be > 0")
+        if not self.groups:
+            raise ConfigurationError("regularizer needs at least one group")
+        for j, g in enumerate(self.groups):
+            if len(g) == 0:
+                raise ConfigurationError(f"group {j} is empty")
+        w = self.weights
+        if w is not None and np.any(np.asarray(w) <= 0):
+            raise ConfigurationError("weights must be > 0")
 
     def weight_vector(self) -> np.ndarray:
         if self.weights is None:
             return np.ones(len(self.groups))
         return np.asarray(self.weights, dtype=float)
-
-
-def no_regularizer() -> RegularizerSpec:
-    return RegularizerSpec(NONE)
 
 
 def glasso_spec(groups, lam: float, weights=None) -> RegularizerSpec:
@@ -100,10 +96,8 @@ class SolverOptions:
     max_iters: int = 50_000
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    rho: float = 1.0            # initial ADMM penalty
-    adapt_rho: bool = True      # residual balancing (x2 / /2, ratio 10)
+    rho: float = 1.0            # initial ADMM penalty; residual balancing doubles or halves it
     over_relax: float = 1.8     # ADMM relaxation parameter in (0, 2)
-    check_every: int = 10
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -125,17 +119,6 @@ class SolverResult:
     objective: float
     iterations: int
     converged: bool
-    residual_history: list = field(default_factory=list)
-
-
-def prox_group_l2(v: np.ndarray, theta: float) -> np.ndarray:
-    """Block soft threshold: v * max(0, 1 - theta/||v||), 0 at v = 0."""
-    if theta < 0:
-        raise ValueError("theta must be >= 0")
-    nrm = np.linalg.norm(v)
-    if nrm <= theta:
-        return np.zeros_like(v)
-    return v * (1.0 - theta / nrm)
 
 
 def _check_problem(A: np.ndarray, y: np.ndarray):
@@ -169,7 +152,7 @@ def _lipschitz(A: np.ndarray, iters: int = 20, tol: float = 1e-6) -> float:
 
 def regularizer_value(reg: RegularizerSpec, x: np.ndarray) -> float:
     """lambda * sum_j c_j ||B_j x||_2 for the given regularizer."""
-    if reg.kind == NONE or reg.lam == 0.0:
+    if reg.lam == 0.0:
         return 0.0
     w = reg.weight_vector()
     total = 0.0
@@ -193,32 +176,28 @@ def build_group_operator(reg: RegularizerSpec, n: int):
     """Sparse stacked operator B and per-group row slices.
 
     Returns (B, starts) where B is CSR of shape (m, n) and group j owns
-    rows starts[j]:starts[j+1].
+    rows starts[j]:starts[j+1]. A group-LASSO row selects one member of
+    its group; a TV row of group j is e_j - e_i for a member i != j.
+    Column indices are sorted within each row.
     """
-    rows, cols, vals = [], [], []
-    starts = [0]
-    row = 0
-    for j, g in enumerate(reg.groups):
-        if reg.kind == GLASSO:
-            for i in g:
-                rows.append(row)
-                cols.append(int(i))
-                vals.append(1.0)
-                row += 1
-        elif reg.kind == TV:
-            for i in g:
-                if i == j:
-                    continue
-                rows.append(row)
-                cols.append(j)
-                vals.append(1.0)
-                rows.append(row)
-                cols.append(int(i))
-                vals.append(-1.0)
-                row += 1
-        starts.append(row)
-    B = sp.csr_matrix((vals, (rows, cols)), shape=(row, n))
-    return B, np.asarray(starts, dtype=np.int64)
+    members = np.concatenate(reg.groups)
+    owner = np.repeat(np.arange(len(reg.groups)), [len(g) for g in reg.groups])
+    if reg.kind == GLASSO:
+        row_owner, indices, data, per_row = owner, members, np.ones(members.size), 1
+    else:
+        keep = members != owner
+        row_owner, other = owner[keep], members[keep]
+        indices = np.column_stack([np.minimum(row_owner, other),
+                                   np.maximum(row_owner, other)]).ravel()
+        first = np.where(row_owner < other, 1.0, -1.0)
+        data = np.column_stack([first, -first]).ravel()
+        per_row = 2
+    rows = row_owner.size
+    indptr = np.arange(rows + 1) * per_row
+    starts = np.zeros(len(reg.groups) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_owner, minlength=len(reg.groups)), out=starts[1:])
+    B = sp.csr_matrix((data, indices, indptr), shape=(rows, n))
+    return B, starts
 
 
 def _banded_cholesky(M) -> np.ndarray:
@@ -347,7 +326,7 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
             z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
             t_mom = t_new
         x = x_new
-        if it % options.check_every == 0 or it == options.max_iters:
+        if it % CHECK_EVERY == 0 or it == options.max_iters:
             g = 2.0 * (A.T @ (A @ x - y))
             res = np.where(x > 0.0, g, np.minimum(g, 0.0))
             if np.linalg.norm(res) <= options.rel_tol * scale:
@@ -396,9 +375,8 @@ def regularized_solve(
     x = np.zeros(n)
     converged = False
     it = 0
-    history = []
     for it in range(1, options.max_iters + 1):
-        check = it % options.check_every == 0 or it == options.max_iters
+        check = it % CHECK_EVERY == 0 or it == options.max_iters
         # x-update: rhs = 2 A^T y + rho C^T (z - u)
         np.subtract(z, u, out=scratch)
         rhs = ws.Ct @ scratch
@@ -431,32 +409,30 @@ def regularized_solve(
             )
             dual_ref = rho * np.linalg.norm(ws.Ct @ u)
             eps_dual = np.sqrt(n) * options.abs_tol + options.rel_tol * max(dual_ref, np.linalg.norm(Aty2))
-            history.append((it, r_pri, r_dual))
             if r_pri <= eps_pri and r_dual <= eps_dual:
                 converged = True
                 break
-            if options.adapt_rho:
-                if r_pri > 10.0 * r_dual:
-                    rho *= 2.0
-                    u /= 2.0
-                elif r_dual > 10.0 * r_pri:
-                    rho /= 2.0
-                    u *= 2.0
+            if r_pri > 10.0 * r_dual:
+                rho *= 2.0
+                u /= 2.0
+            elif r_dual > 10.0 * r_pri:
+                rho /= 2.0
+                u *= 2.0
     alpha = np.maximum(0.0, x)
     # snap sub-tolerance residue to exact zeros so the sparsity pattern and
     # the KKT certificate see the identified active set
     snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))
     alpha[alpha < snap] = 0.0
-    return SolverResult(alpha, objective_value(A, y, reg, alpha), it, converged, history)
+    return SolverResult(alpha, objective_value(A, y, reg, alpha), it, converged)
 
 
-def _min_norm_subgradient(A, y, reg: RegularizerSpec, x, inner_iters: int):
+def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int):
     """Minimal-norm orthant-restricted subgradient via projected gradient.
 
     The smooth and active-group parts of the subgradient are fixed; for
     groups with B_j x = 0 the subgradient contribution B_j^T v_j ranges
     over the ball ||v_j|| <= lam*c_j, and we minimize the restricted
-    residual norm over those v_j.
+    residual norm over those v_j. reg=None is plain NNLS.
     """
     g0 = 2.0 * (A.T @ (A @ x - y))
     pos = x > 0.0
@@ -464,7 +440,7 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec, x, inner_iters: int):
     def restricted(s):
         return np.where(pos, s, np.minimum(s, 0.0))
 
-    if reg.kind == NONE or reg.lam == 0.0:
+    if reg is None or reg.lam == 0.0:
         return np.linalg.norm(restricted(g0))
 
     B, starts = build_group_operator(reg, x.shape[0])
@@ -532,64 +508,5 @@ def kkt_residual(A, y, reg: RegularizerSpec | None, alpha_hat, inner_iters: int 
     x = np.asarray(alpha_hat, dtype=float)
     if np.any(x < 0):
         raise ValueError("alpha_hat must be non-negative")
-    if reg is None:
-        reg = no_regularizer()
     return float(_min_norm_subgradient(A, y, reg, x, inner_iters))
 
-
-def subgradient_oracle(
-    A,
-    y,
-    reg: RegularizerSpec | None,
-    iters: int,
-    rng: np.random.Generator | None = None,
-    x0: np.ndarray | None = None,
-) -> SolverResult:
-    """Slow projected-subgradient reference, independent of the ADMM path.
-
-    Polyak-style steps with a decaying slack target; tracks and returns the
-    best feasible iterate. Intended for tests only.
-    """
-    A, y = _check_problem(A, y)
-    if reg is None:
-        reg = no_regularizer()
-    n = A.shape[1]
-    x = np.zeros(n) if x0 is None else np.maximum(0.0, np.asarray(x0, dtype=float))
-    B, starts = build_group_operator(reg, n) if reg.kind != NONE else (None, None)
-    w = reg.weight_vector() if reg.kind != NONE else None
-
-    def full_objective(v):
-        return objective_value(A, y, reg, v)
-
-    def subgrad(v):
-        g = 2.0 * (A.T @ (A @ v - y))
-        if reg.kind != NONE and reg.lam > 0.0 and B is not None and B.shape[0]:
-            Bv = B @ v
-            sizes = np.diff(starts)
-            ne = sizes > 0
-            norms = np.zeros(len(sizes))
-            norms[ne] = np.sqrt(np.add.reduceat(Bv * Bv, starts[:-1][ne]))
-            scale = np.zeros(B.shape[0])
-            row_group = np.repeat(np.arange(len(sizes)), sizes)
-            sel = (norms > 0.0)[row_group]
-            scale[sel] = reg.lam * w[row_group[sel]] / norms[row_group[sel]]
-            g = g + B.T @ (scale * Bv)
-        return g
-
-    f_best = full_objective(x)
-    x_best = x.copy()
-    f_x = f_best
-    delta0 = 0.1 * max(f_best, 1e-12)
-    for t in range(1, iters + 1):
-        g = subgrad(x)
-        gn2 = float(g @ g)
-        if gn2 == 0.0:
-            break
-        delta = delta0 / np.sqrt(t)
-        step = (f_x - f_best + delta) / gn2
-        x = np.maximum(0.0, x - step * g)
-        f_x = full_objective(x)
-        if f_x < f_best:
-            f_best = f_x
-            x_best = x.copy()
-    return SolverResult(x_best, float(f_best), iters, True)

@@ -7,8 +7,9 @@ objects are immutable and safe to share across workers.
 """
 from __future__ import annotations
 
+import numbers
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -17,6 +18,16 @@ from . import serialize
 
 # Base stations at the midpoint of each edge of the unit square.
 EDGE_MIDPOINT_BS = np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]])
+
+
+def require_number(name: str, value, integer: bool = False):
+    """Return value if it is a number (an integer when integer=True), else
+    raise a ConfigurationError naming the field. Booleans are rejected."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise ConfigurationError(f"{name} must be {what}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -38,6 +49,8 @@ class SystemConfig:
     grid_side: int = 36    # users per grid dimension
 
     def __post_init__(self):
+        for f in fields(self):
+            require_number(f.name, getattr(self, f.name), integer=f.type == "int")
         for name in ("K", "L", "M", "tau_p", "T", "grid_side"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {getattr(self, name)}")

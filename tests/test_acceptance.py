@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from oracles import subgradient_oracle
 from pilothop import cli, harness, serialize, simulator, solvers, sysmodel
 
 FULL_SCALE = os.environ.get("PILOTHOP_ACCEPTANCE_FULL") == "1"
@@ -125,7 +126,7 @@ def test_criterion_4_solver_correctness():
             f_oracle = np.inf
             x0 = None
             for _ in range(10):
-                orc = solvers.subgradient_oracle(A, y, reg, 10_000, x0=x0)
+                orc = subgradient_oracle(A, y, reg, 10_000, x0=x0)
                 f_oracle = min(f_oracle, orc.objective)
                 x0 = orc.alpha_hat
                 if abs(f - f_oracle) / max(f_oracle, 1e-12) <= 1e-3:

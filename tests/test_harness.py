@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pilothop import cli, harness, serialize, sysmodel
+from pilothop import cli, harness, serialize, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -179,7 +179,7 @@ class TestOutputs:
 
     def test_sweep_covers_lambda_grid(self, tmp_path):
         config = tiny_experiment(n_trials=1, lambdas=(0.0, 0.06))
-        roc_rows, _ = harness.sweep_lambda(config)
+        roc_rows, _ = harness.run_experiment(harness.sweep_lambda_config(config))
         seen = {(r[0], r[1]) for r in roc_rows}
         assert seen == {("tv", 0.0), ("tv", 0.06), ("glasso", 0.0), ("glasso", 0.06)}
 
@@ -210,12 +210,60 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         out = str(tmp_path / "out")
         assert cli.main(["simulate", "--config", cfg, "--trials", "2", "--out", out]) == 0
-        trial = os.path.join(out, "trials", "trial_00000.json")
+        trial = os.path.join(out, "trials", "trial_00001.json")
         assert cli.main(["detect", "--config", cfg, "--trial", trial, "--out", out]) == 0
         with open(os.path.join(out, "detect.csv"), newline="") as f:
             rows = list(csv.reader(f))
         assert rows[0] == list(harness.ROC_HEADER)
-        assert len(rows) > 1
+        # the campaign's own rates for that trial, method by method
+        config = tiny_experiment()
+        result = harness.run_trial(harness.build_context(config), 1, localize=False)
+        p_fa = np.array([float(row[3]) for row in rows[1:]])
+        p_m = np.array([float(row[4]) for row in rows[1:]])
+        assert np.array_equal(p_fa, result.p_fa.ravel(), equal_nan=True)
+        assert np.array_equal(p_m, result.p_m.ravel(), equal_nan=True)
+        assert [row[0] for row in rows[1:]] == [
+            m.kind for m in config.methods for _ in config.thresholds]
+
+    def test_simulate_calls_no_solver(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("simulate must not solve")
+
+        monkeypatch.setattr(solvers, "nnls_solve", no_solve)
+        monkeypatch.setattr(solvers, "regularized_solve", no_solve)
+        assert cli.main(["simulate", "--config", cfg, "--trials", "2", "--out", str(out)]) == 0
+        monkeypatch.undo()
+        ctx = harness.build_context(tiny_experiment())
+        for i in range(2):
+            ref = tmp_path / f"ref_{i}.json"
+            serialize.dump(harness.run_trial(ctx, i, keep_dump=True).dump, ref)
+            assert (out / "trials" / f"trial_{i:05d}.json").read_bytes() == ref.read_bytes()
+
+    def test_sweep_lambda_dumps_trials(self, tmp_path):
+        cfg = self.write_config(tmp_path, lambdas=(0.0, 0.06))
+        out = tmp_path / "out"
+        rc = cli.main(["sweep-lambda", "--config", cfg, "--trials", "2", "--dump-trials",
+                       "--out", str(out)])
+        assert rc == 0
+        assert sorted(os.listdir(out / "trials")) == ["trial_00000.json", "trial_00001.json"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--workers", "2"],
+            ["topology", "--dump-trials"],
+            ["detect", "--trials", "1", "--trial", "t.json"],
+        ],
+        ids=["simulate-workers", "topology-dump-trials", "detect-trials"],
+    )
+    def test_campaign_flags_only_on_campaigns(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_seed_changes_results(self, tmp_path):
         cfg = self.write_config(tmp_path)
@@ -267,9 +315,18 @@ class TestCli:
             ('"thresholds": [0.1, NaN, 0.5]', "thresholds must be finite"),
             ('"thresholds": [0.5, 0.1]', "sorted"),
             ('"lambdas": [0.0, NaN]', "lambdas"),
+            ('"system": {"r": "x"}', "r must be a number"),
+            ('"system": {"K": "36"}', "K must be an integer"),
+            ('"methods": [{"kind": "tv", "lambda": "x"}]', "lambda must be a number"),
+            ('"n_trials": "a"', "n_trials must be an integer"),
+            ('"methods": 3', "methods must be a list"),
+            ('"thresholds": 0.5', "thresholds must be a list"),
+            ('"master_seed": -1', "master_seed"),
         ],
         ids=["rel_tol", "r", "sigma2", "sigma_e2", "p", "snr_db", "eta",
-             "nan-threshold", "unsorted-thresholds", "nan-lambda-grid"],
+             "nan-threshold", "unsorted-thresholds", "nan-lambda-grid",
+             "string-r", "string-K", "string-lambda", "string-n_trials",
+             "methods-not-list", "thresholds-not-list", "negative-seed"],
     )
     def test_non_finite_or_unsorted_input_exit_code(self, tmp_path, capsys, fragment, name):
         # json.loads accepts the bare NaN and Infinity tokens

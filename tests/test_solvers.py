@@ -3,7 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse as sp
 
+from oracles import subgradient_oracle
 from pilothop import solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
@@ -30,28 +32,6 @@ def contiguous_groups(n, size):
 
 
 TIGHT = solvers.SolverOptions(rel_tol=1e-9, abs_tol=1e-12)
-
-
-class TestProx:
-    def test_zero_threshold_is_identity(self):
-        v = np.array([3.0, 4.0])
-        assert np.array_equal(solvers.prox_group_l2(v, 0.0), v)
-
-    def test_threshold_at_norm_kills_block(self):
-        v = np.array([3.0, 4.0])
-        assert np.array_equal(solvers.prox_group_l2(v, 5.0), np.zeros(2))
-        assert np.array_equal(solvers.prox_group_l2(v, 7.0), np.zeros(2))
-
-    def test_half_norm_halves_block(self):
-        v = np.array([3.0, 4.0])
-        assert np.allclose(solvers.prox_group_l2(v, 2.5), v / 2.0)
-
-    def test_zero_vector_fixed_point(self):
-        assert np.array_equal(solvers.prox_group_l2(np.zeros(3), 1.0), np.zeros(3))
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            solvers.prox_group_l2(np.ones(2), -1.0)
 
 
 class TestSpecValidation:
@@ -113,6 +93,50 @@ def dense_penalty_gram(reg, n):
                 d[j], d[i] = 1.0, -1.0
                 BtB += np.outer(d, d)
     return BtB
+
+
+def loop_group_operator(reg, n):
+    """build_group_operator written as a loop over the stacked rows."""
+    rows, cols, vals = [], [], []
+    starts = [0]
+    row = 0
+    for j, g in enumerate(reg.groups):
+        for i in g:
+            if reg.kind == solvers.GLASSO:
+                rows.append(row)
+                cols.append(int(i))
+                vals.append(1.0)
+            elif i != j:
+                rows += [row, row]
+                cols += [j, int(i)]
+                vals += [1.0, -1.0]
+            else:
+                continue
+            row += 1
+        starts.append(row)
+    B = sp.csr_matrix((vals, (rows, cols)), shape=(row, n))
+    return B, np.asarray(starts, dtype=np.int64)
+
+
+class TestGroupOperator:
+    @pytest.mark.parametrize("kind", ["tv", "glasso"])
+    @pytest.mark.parametrize(
+        "side, r",
+        [(36, 0.05), (18, 0.1), (8, 0.1)],
+        ids=["36x36", "18x18", "singletons"],
+    )
+    def test_matches_loop(self, kind, side, r):
+        cfg = sysmodel.SystemConfig(K=side * side, grid_side=side, T=6)
+        topo = sysmodel.build_topology(cfg)
+        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(
+            sysmodel.neighbor_sets(topo, r), 0.06)
+        B, starts = solvers.build_group_operator(reg, side * side)
+        B_ref, starts_ref = loop_group_operator(reg, side * side)
+        assert B.shape == B_ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(B, name), getattr(B_ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert starts.dtype == starts_ref.dtype and np.array_equal(starts, starts_ref)
 
 
 def grid_neighbors(side):
@@ -219,7 +243,7 @@ def reference_admm(A, y, reg, options):
         scale = np.maximum(0.0, 1.0 - (thetas / rho) / np.maximum(norms, 1e-300))
         z[:m_groups] = wg * scale[owner]
         u = u + relaxed - z
-        if it % options.check_every == 0 or it == options.max_iters:
+        if it % solvers.CHECK_EVERY == 0 or it == options.max_iters:
             r_pri = np.linalg.norm(Cx - z)
             r_dual = rho * np.linalg.norm(C.T @ (z - z_old))
             eps_pri = np.sqrt(m_total) * options.abs_tol + options.rel_tol * max(
@@ -229,11 +253,10 @@ def reference_admm(A, y, reg, options):
             if r_pri <= eps_pri and r_dual <= eps_dual:
                 converged = True
                 break
-            if options.adapt_rho:
-                if r_pri > 10.0 * r_dual:
-                    rho, u = 2.0 * rho, u / 2.0
-                elif r_dual > 10.0 * r_pri:
-                    rho, u = rho / 2.0, 2.0 * u
+            if r_pri > 10.0 * r_dual:
+                rho, u = 2.0 * rho, u / 2.0
+            elif r_dual > 10.0 * r_pri:
+                rho, u = rho / 2.0, 2.0 * u
     alpha = np.maximum(0.0, x)
     snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))
     alpha[alpha < snap] = 0.0
@@ -353,7 +376,7 @@ class TestRegularizedSolve:
             else:
                 reg = solvers.glasso_spec(contiguous_groups(n, 2), 0.3)
             res = solvers.regularized_solve(A, y, reg, TIGHT)
-            oracle = solvers.subgradient_oracle(A, y, reg, 20_000, x0=res.alpha_hat * 0)
+            oracle = subgradient_oracle(A, y, reg, 20_000, x0=res.alpha_hat * 0)
             f_admm = solvers.objective_value(A, y, reg, res.alpha_hat)
             assert f_admm <= oracle.objective * (1 + 1e-3) + 1e-9
             assert abs(f_admm - oracle.objective) / max(oracle.objective, 1e-9) < 1e-2
