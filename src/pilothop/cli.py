@@ -72,13 +72,20 @@ def cmd_simulate(args):
 
 def cmd_detect(args):
     config = _load_config(args)
-    dump = serialize.load(args.trial)
-    y = np.asarray(dump["y"], dtype=float)
-    truth = np.asarray(dump["alpha"], dtype=np.int64)
+    try:
+        dump = serialize.load(args.trial)
+        y = np.asarray(dump["y"], dtype=float)
+        truth = np.asarray(dump["alpha"], dtype=np.int64)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(f"cannot read trial dump {args.trial}: {exc!r}") from exc
     ctx = harness.build_context(config)
-    if y.shape[0] != ctx.a_norm.shape[0]:
+    if y.shape != (ctx.a_norm.shape[0],):
         raise ConfigurationError(
-            f"trial dump has {y.shape[0]} measurements, system expects {ctx.a_norm.shape[0]}"
+            f"trial dump has {y.shape} measurements, system expects {ctx.a_norm.shape[0]}"
+        )
+    if truth.shape != (config.system.K,):
+        raise ConfigurationError(
+            f"trial dump has {truth.shape} activity entries, system has K={config.system.K}"
         )
     y_norm = y / ctx.scale
     workspaces: dict = {}

@@ -292,6 +292,40 @@ class TestCli:
         assert "lambda" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    def test_more_events_than_users_exit_code(self, tmp_path, capsys):
+        # 36 users on the 6x6 grid, 40 events: allowed by the E cap, not by K
+        doc = harness.config_to_dict(tiny_experiment())
+        doc["system"]["E"] = 40
+        path = tmp_path / "config.json"
+        serialize.dump(doc, path)
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--config", str(path), "--trials", "1", "--out", str(out)])
+        assert rc == 2
+        assert "E must be <= K=36" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_detect_missing_trial_exit_code(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        rc = cli.main(["detect", "--config", cfg, "--trial", str(tmp_path / "nope.json"),
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "cannot read trial dump" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "detect.csv").exists()
+
+    def test_detect_dump_of_other_k_exit_code(self, tmp_path, capsys):
+        # right measurement count, activity vector of another K
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
+        trial = out / "trials" / "trial_00000.json"
+        dump = serialize.load(trial)
+        dump["alpha"] = dump["alpha"] + [0] * 4
+        serialize.dump(dump, trial)
+        rc = cli.main(["detect", "--config", cfg, "--trial", str(trial), "--out", str(out)])
+        assert rc == 2
+        assert "K=36" in capsys.readouterr().err
+        assert not (out / "detect.csv").exists()
+
     def test_more_than_eight_events(self, tmp_path):
         system = replace(tiny_experiment().system, E=9)
         cfg = self.write_config(tmp_path, system=system)
@@ -322,11 +356,14 @@ class TestCli:
             ('"methods": 3', "methods must be a list"),
             ('"thresholds": 0.5', "thresholds must be a list"),
             ('"master_seed": -1', "master_seed"),
+            ('"system": {"E": 400}', "E must be <= 50"),
+            ('"system": {"E": 51}', "E must be <= 50"),
         ],
         ids=["rel_tol", "r", "sigma2", "sigma_e2", "p", "snr_db", "eta",
              "nan-threshold", "unsorted-thresholds", "nan-lambda-grid",
              "string-r", "string-K", "string-lambda", "string-n_trials",
-             "methods-not-list", "thresholds-not-list", "negative-seed"],
+             "methods-not-list", "thresholds-not-list", "negative-seed",
+             "E-400", "E-51"],
     )
     def test_non_finite_or_unsorted_input_exit_code(self, tmp_path, capsys, fragment, name):
         # json.loads accepts the bare NaN and Infinity tokens

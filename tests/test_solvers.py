@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 
 from oracles import subgradient_oracle
-from pilothop import solvers, sysmodel
+from pilothop import harness, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -197,13 +198,14 @@ class TestXUpdate:
 
 
 def reference_admm(A, y, reg, options):
-    """The ADMM of regularized_solve written plainly, as a reference.
+    """The plain ADMM of regularized_solve, without acceleration, as a reference.
 
     Dense stacked operator C = [B; I] built from the group definition, a
-    dense x-solve of (2 A^T A + rho C^T C) x = rhs at every iteration and
-    the block soft threshold by group index; same splitting, over-relaxation,
-    residual-balancing rho policy, stopping rule and snapping.
-    Returns (alpha_hat, iterations, converged).
+    dense Cholesky solve of (2 A^T A + rho C^T C) x = rhs at every iteration
+    (factored once per penalty value) and the block soft threshold by group
+    index; same splitting, over-relaxation, residual-balancing rho policy,
+    stopping rule and snapping.
+    Returns (alpha_hat, iterations, converged, rho_changes).
     """
     n = A.shape[1]
     rows, owner = [], []
@@ -222,17 +224,22 @@ def reference_admm(A, y, reg, options):
     owner = np.array(owner, dtype=np.int64)
     C = np.vstack(rows + [np.eye(n)])
     AtA2 = 2.0 * A.T @ A
+    CtC = C.T @ C
     Aty2 = 2.0 * A.T @ y
     thetas = reg.lam * reg.weight_vector()
     relax = options.over_relax
     rho = options.rho
+    factors = {}
+    rho_changes = 0
     m_total = m_groups + n
     x = np.zeros(n)
     z = np.zeros(m_total)
     u = np.zeros(m_total)
     converged = False
     for it in range(1, options.max_iters + 1):
-        x = np.linalg.solve(AtA2 + rho * C.T @ C, Aty2 + rho * C.T @ (z - u))
+        if rho not in factors:
+            factors[rho] = scipy.linalg.cho_factor(AtA2 + rho * CtC)
+        x = scipy.linalg.cho_solve(factors[rho], Aty2 + rho * C.T @ (z - u))
         Cx = C @ x
         relaxed = relax * Cx + (1.0 - relax) * z
         w = relaxed + u
@@ -255,17 +262,67 @@ def reference_admm(A, y, reg, options):
                 break
             if r_pri > 10.0 * r_dual:
                 rho, u = 2.0 * rho, u / 2.0
+                rho_changes += 1
             elif r_dual > 10.0 * r_pri:
                 rho, u = rho / 2.0, 2.0 * u
+                rho_changes += 1
     alpha = np.maximum(0.0, x)
     snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))
     alpha[alpha < snap] = 0.0
-    return alpha, it, converged
+    return alpha, it, converged, rho_changes
+
+
+# a plain solve tight enough to stand for the optimum: the default abs_tol
+# (1e-9) would stop it before rel_tol is reached
+TIGHT_REFERENCE = solvers.SolverOptions(rel_tol=1e-10, abs_tol=1e-15, max_iters=200_000)
+
+
+def relative_kkt(A, y, reg, alpha):
+    return solvers.kkt_residual(A, y, reg, alpha) / np.linalg.norm(2.0 * A.T @ y)
+
+
+def quick_scale_problem(kind, lam):
+    """A, y' and the regularizer of trial 0 of the --quick preset at seed 1."""
+    config = harness.quick_preset(harness.ExperimentConfig(master_seed=1))
+    ctx = harness.build_context(config)
+    _, _, y = harness.simulate_trial(ctx, 0)
+    groups = sysmodel.neighbor_sets(ctx.topology, config.system.r)
+    reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, lam)
+    return ctx.a_norm, y, reg
 
 
 class TestReferenceLoop:
-    """regularized_solve against reference_admm: identical iteration count,
-    alpha_hat within 1e-9, on the 8x8 user grid of a pilot-hopping system."""
+    """The Anderson-accelerated regularized_solve against reference_admm, the
+    plain loop, compared at the optimum rather than step by step: the
+    accelerated solve converges in no more iterations than the plain one
+    and its relative KKT residual is at most 10x the plain solve's. On the
+    8x8 grid its objective is also within 1e-9 of a tight plain solve."""
+
+    @staticmethod
+    def check_optimum(A, y, reg, options, tight=True, unique=True):
+        """Returns (result, plain iterations, plain rho changes)."""
+        res = solvers.regularized_solve(A, y, reg, options)
+        plain_alpha, plain_iters, plain_converged, plain_rho_changes = reference_admm(
+            A, y, reg, options)
+        assert res.converged and plain_converged
+        assert res.iterations <= plain_iters, (res.iterations, plain_iters)
+        kkt, kkt_plain = (relative_kkt(A, y, reg, a) for a in (res.alpha_hat, plain_alpha))
+        assert kkt <= 10.0 * kkt_plain, (kkt, kkt_plain)
+        f = solvers.objective_value(A, y, reg, res.alpha_hat)
+        if tight:
+            optimum, _, converged, _ = reference_admm(A, y, reg, TIGHT_REFERENCE)
+            assert converged
+            f_opt = solvers.objective_value(A, y, reg, optimum)
+            assert abs(f - f_opt) <= 1e-9, f - f_opt
+        else:
+            # a tight plain solve takes 17k-34k iterations at quick scale;
+            # compare with the plain solve, which stops at the same tolerance
+            optimum = plain_alpha
+            f_opt = solvers.objective_value(A, y, reg, optimum)
+            assert abs(f - f_opt) <= 1e-7 * f_opt, (f - f_opt) / f_opt
+        if unique:
+            assert np.max(np.abs(res.alpha_hat - optimum)) <= 1e-4
+        return res, plain_iters, plain_rho_changes
 
     @pytest.mark.parametrize(
         "kind, r, dense_a",
@@ -289,12 +346,27 @@ class TestReferenceLoop:
         y = A @ alpha + 0.05 * rng.standard_normal(A.shape[0])
         groups = sysmodel.neighbor_sets(topo, r)
         reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, 0.06)
-        options = solvers.SolverOptions()
-        res = solvers.regularized_solve(A, y, reg, options)
-        ref_alpha, ref_iters, ref_converged = reference_admm(A, y, reg, options)
-        assert res.converged and ref_converged
-        assert res.iterations == ref_iters
-        assert np.max(np.abs(res.alpha_hat - ref_alpha)) <= 1e-9
+        # with singleton sets the problem is NNLS with 16 rows and 64
+        # columns: its minimizer is not unique, so alpha_hat is not compared
+        self.check_optimum(A, y, reg, solvers.SolverOptions(), unique=r > 0.1)
+
+    def test_safeguard_fires(self):
+        # quick-scale TV at lambda = 0.2: the fixed-point residual grows
+        # after some extrapolated steps, and the safeguard undoes them
+        A, y, reg = quick_scale_problem("tv", 0.2)
+        res, _, _ = self.check_optimum(A, y, reg, solvers.SolverOptions(), tight=False)
+        assert res.rejected_steps > 0
+
+    def test_rho_changes_mid_solve(self):
+        # a far-off initial penalty: residual balancing halves rho several
+        # times, and each change clears the history. Differences kept from
+        # the old penalty would be extrapolated and then rejected one by one
+        # by the safeguard, costing most of the saving over the plain loop
+        A, y, reg = quick_scale_problem("tv", 0.06)
+        res, plain_iters, plain_rho_changes = self.check_optimum(
+            A, y, reg, solvers.SolverOptions(rho=1000.0), tight=False)
+        assert res.rho_changes > 0 and plain_rho_changes > 0
+        assert res.iterations <= 0.6 * plain_iters, (res.iterations, plain_iters)
 
 
 class TestNnls:
@@ -438,7 +510,40 @@ class TestRegularizedSolve:
             assert nz.min() >= 1e-12 * max(1.0, res.alpha_hat.max())
 
 
+def loop_regularizer_value(reg, x):
+    """regularizer_value written as a loop over the groups."""
+    total = 0.0
+    for k, (c, g) in enumerate(zip(reg.weight_vector(), reg.groups)):
+        if reg.kind == solvers.GLASSO:
+            total += c * np.linalg.norm(x[g])
+        else:
+            others = g[g != k]
+            if others.size:
+                total += c * np.linalg.norm(x[k] - x[others])
+    return reg.lam * total
+
+
 class TestRegularizerValue:
+    @pytest.mark.parametrize("kind", ["tv", "glasso"])
+    @pytest.mark.parametrize(
+        "side, r",
+        [(36, 0.05), (18, 0.1), (8, 0.1)],
+        ids=["36x36", "18x18", "singletons"],
+    )
+    def test_matches_loop(self, kind, side, r):
+        cfg = sysmodel.SystemConfig(K=side * side, grid_side=side, T=6)
+        topo = sysmodel.build_topology(cfg)
+        rng = np.random.default_rng(side)
+        weights = rng.uniform(0.5, 2.0, side * side)
+        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(
+            sysmodel.neighbor_sets(topo, r), 0.06, weights=weights)
+        x = np.where(rng.random(side * side) < 0.2, rng.uniform(0.0, 1.5, side * side), 0.0)
+        got = solvers.regularizer_value(reg, x)
+        want = loop_regularizer_value(reg, x)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+        if r == 0.1 and side == 8:
+            assert (got == 0.0) == (kind == "tv")  # singleton TV has no differences
+
     def test_glasso_by_hand(self):
         x = np.array([3.0, 4.0, 1.0])
         reg = solvers.glasso_spec([np.array([0, 1]), np.array([2])], 2.0)

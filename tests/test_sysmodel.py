@@ -6,7 +6,8 @@ from pilothop.errors import ConfigurationError
 
 
 def tiny_config(**kw):
-    defaults = dict(K=1, L=4, M=2, tau_p=2, T=2, grid_side=1)
+    # one event: E may not exceed K
+    defaults = dict(K=1, L=4, M=2, tau_p=2, T=2, grid_side=1, E=1)
     defaults.update(kw)
     return sysmodel.SystemConfig(**defaults)
 
@@ -196,7 +197,7 @@ class TestMeasurementMatrix:
         assert np.array_equal(a.a, [[1.0]])
 
     def test_two_user_layout(self):
-        cfg = sysmodel.SystemConfig(K=2, grid_side=1, L=4, M=2, tau_p=2, T=2)
+        cfg = sysmodel.SystemConfig(K=2, grid_side=1, L=4, M=2, tau_p=2, T=2, E=1)
         code = sysmodel.PilotHopCode(np.array([[1, 2], [2, 2]]))
         c = 0.5
         fad = sysmodel.FadingProfile(
