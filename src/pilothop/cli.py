@@ -17,10 +17,10 @@ from .errors import ConfigurationError, NumericalError
 
 def _load_config(args) -> harness.ExperimentConfig:
     if args.config is not None:
-        config = harness.parse_config(args.config)
+        config = harness.parse_config(args.config, quick=args.quick)
     else:
         config = harness.ExperimentConfig()
-    if getattr(args, "quick", False):
+    if args.quick:
         config = harness.quick_preset(config)
     from dataclasses import replace
 
@@ -92,8 +92,9 @@ def cmd_detect(args):
     rows = []
     for mi, method in enumerate(config.methods):
         result = harness.solve_method(ctx, mi, y_norm, workspaces)
-        for det, cm in detection.roc_sweep(result.alpha_hat, truth, config.thresholds):
-            rows.append((method.kind, method.lam, det.threshold, cm.p_fa, cm.p_m, 1))
+        sweep = detection.roc_sweep(result.alpha_hat, truth, config.thresholds)
+        for thr, (_, cm) in zip(config.thresholds, sweep):
+            rows.append((method.kind, method.lam, thr, cm.p_fa, cm.p_m, 1))
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "detect.csv")

@@ -13,12 +13,6 @@ PLANE_CENTER = np.array([0.5, 0.5])
 
 
 @dataclass(frozen=True)
-class DetectionResult:
-    detected: np.ndarray  # (K,) of {0,1}
-    threshold: float
-
-
-@dataclass(frozen=True)
 class ConfusionMetrics:
     p_m: float    # NaN when no active users
     p_fa: float   # NaN when no inactive users
@@ -35,11 +29,11 @@ class EventEstimate:
     rmsd: float
 
 
-def threshold_detect(alpha_hat: np.ndarray, threshold: float) -> DetectionResult:
-    """Strict rule: user k detected iff alpha_hat[k] > threshold."""
+def threshold_detect(alpha_hat: np.ndarray, threshold: float) -> np.ndarray:
+    """(K,) 0/1 mask by the strict rule: user k detected iff alpha_hat[k] > threshold."""
     if not np.isfinite(threshold):
         raise ValueError("threshold must be finite")
-    return DetectionResult((np.asarray(alpha_hat) > threshold).astype(np.int64), float(threshold))
+    return (np.asarray(alpha_hat) > threshold).astype(np.int64)
 
 
 def confusion_metrics(detected: np.ndarray, truth: np.ndarray) -> ConfusionMetrics:
@@ -58,7 +52,7 @@ def confusion_metrics(detected: np.ndarray, truth: np.ndarray) -> ConfusionMetri
 
 
 def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
-    """One (DetectionResult, ConfusionMetrics) pair per threshold, ascending.
+    """One (detection mask, ConfusionMetrics) pair per threshold, ascending.
 
     The one threshold sweep: campaigns read the miss / false-alarm rates
     and localize each detection mask, ``detect`` writes the rates.
@@ -68,8 +62,8 @@ def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
         raise ValueError("thresholds must be sorted ascending")
     sweep = []
     for thr in thresholds:
-        det = threshold_detect(alpha_hat, thr)
-        sweep.append((det, confusion_metrics(det.detected, truth)))
+        mask = threshold_detect(alpha_hat, thr)
+        sweep.append((mask, confusion_metrics(mask, truth)))
     return sweep
 
 

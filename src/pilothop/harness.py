@@ -22,8 +22,9 @@ import csv
 import datetime
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -109,31 +110,23 @@ class ExperimentConfig:
         )
 
 
-def quick_preset(config: ExperimentConfig) -> ExperimentConfig:
-    """Reduced-scale preset for CI-speed runs.
+# system settings of the quick preset: half the grid resolution, with the
+# neighbor radius and event variance scaled with the grid spacing (r x2,
+# sigma_e2 x4) so neighbor sets keep 9 members and an event still
+# activates roughly 7.5 users
+QUICK_SYSTEM = dict(K=324, grid_side=18, tau_p=6, T=6, r=0.1, sigma_e2=0.004)
 
-    Halves the grid resolution; the neighbor radius and event variance are
-    scaled with the grid spacing (r x2, sigma_e2 x4) so neighbor sets keep
-    9 members and an event still activates roughly 7.5 users.
-    """
-    system = replace(
-        config.system,
-        K=324, grid_side=18, tau_p=6, T=6, r=0.1, sigma_e2=0.004,
-    )
+
+def quick_preset(config: ExperimentConfig) -> ExperimentConfig:
+    """Reduced-scale preset for CI-speed runs: QUICK_SYSTEM, at most 50 trials."""
+    system = replace(config.system, **QUICK_SYSTEM)
     return replace(config, system=system, n_trials=min(config.n_trials, 50))
 
 
 # --- config file parsing ---------------------------------------------------
 
-_SYSTEM_KEYS = {
-    "K", "L", "M", "tau_p", "T", "snr_db", "sigma2", "p", "eta",
-    "sigma_e2", "E", "r", "grid_side",
-}
-_TOP_KEYS = {
-    "schema_version", "system", "methods", "thresholds", "lambdas",
-    "n_trials", "master_seed", "antennas_mode", "output_dir",
-    "solver_rel_tol", "solver_max_iters",
-}
+_SYSTEM_KEYS = {f.name for f in fields(sysmodel.SystemConfig)}
+_TOP_KEYS = {"schema_version"} | {f.name for f in fields(ExperimentConfig)}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -181,7 +174,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             kwargs[key] = int(sysmodel.require_number(key, doc[key], integer=True))
     for key in ("antennas_mode", "output_dir"):
         if key in doc:
-            kwargs[key] = str(doc[key])
+            if not isinstance(doc[key], str):
+                raise ConfigurationError(f"{key} must be a string, got {doc[key]!r}")
+            kwargs[key] = doc[key]
     if "solver_rel_tol" in doc:
         kwargs["solver_rel_tol"] = float(
             sysmodel.require_number("solver_rel_tol", doc["solver_rel_tol"])
@@ -195,7 +190,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
-        "system": config.system.to_dict(),
+        "system": asdict(config.system),
         "methods": [
             {"kind": m.kind, "lambda": m.lam} for m in config.methods
         ],
@@ -210,14 +205,27 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     }
 
 
-def parse_config(path) -> ExperimentConfig:
+def parse_config(path, quick: bool = False) -> ExperimentConfig:
+    """The config file at path.
+
+    quick=True means the quick preset will be applied. It overrides the
+    system keys of QUICK_SYSTEM, so a file that sets any of them is
+    rejected rather than silently overridden.
+    """
     try:
         doc = serialize.load(path)
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}")
     except ValueError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
-    return config_from_dict(doc)
+    config = config_from_dict(doc)
+    fixed = sorted(QUICK_SYSTEM.keys() & doc.get("system", {}).keys()) if quick else []
+    if fixed:
+        raise ConfigurationError(
+            f"{path} sets system keys {fixed}, which --quick replaces; "
+            "remove them or drop --quick"
+        )
+    return config
 
 
 # --- trial execution -------------------------------------------------------
@@ -239,8 +247,6 @@ class SystemContext:
 @dataclass
 class TrialResult:
     trial_index: int
-    n_active: int
-    n_inactive: int
     # per method: arrays over thresholds
     p_m: np.ndarray        # (n_methods, n_thr), NaN when undefined
     p_fa: np.ndarray       # (n_methods, n_thr), NaN when undefined
@@ -296,12 +302,12 @@ def simulate_trial(ctx: SystemContext, trial_index: int):
     if config.antennas_mode == simulator.ASYMPTOTIC:
         y_norm = ctx.a_norm @ activity.alpha.astype(float)
     else:
-        energy = simulator.monte_carlo_energy(
+        y = simulator.monte_carlo_energy(
             ctx.code, activity, ctx.fading, sys_cfg,
             stream(seed, trial_index, CHANNELS),
             noise_rng=stream(seed, trial_index, NOISE),
         )
-        y_norm = energy.y / ctx.scale
+        y_norm = y / ctx.scale
     return events, activity, y_norm
 
 
@@ -361,23 +367,19 @@ def run_trial(
         result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
         sweep = detection.roc_sweep(result.alpha_hat, activity.alpha, config.thresholds)
-        for ti, (det, cm) in enumerate(sweep):
+        for ti, (mask, cm) in enumerate(sweep):
             p_m[mi, ti] = cm.p_m
             p_fa[mi, ti] = cm.p_fa
-            zero_detected[mi, ti] = not det.detected.any()
+            zero_detected[mi, ti] = not mask.any()
             if localize:
                 est = detection.localize_events(
-                    ctx.topology.user_positions, det.detected, events.positions,
+                    ctx.topology.user_positions, mask, events.positions,
                     stream(seed, trial_index, KMEANS, mi, ti),
                 )
                 rmsd[mi, ti] = est.rmsd
 
     dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
-    n_active = int(activity.alpha.sum())
-    return TrialResult(
-        trial_index, n_active, config.system.K - n_active,
-        p_m, p_fa, rmsd, zero_detected, converged, dump,
-    )
+    return TrialResult(trial_index, p_m, p_fa, rmsd, zero_detected, converged, dump)
 
 
 def _run_trial_in_worker(args):
@@ -466,17 +468,14 @@ def emit_results(
     out_dir,
     dumps: list | None = None,
 ):
+    """The CSVs and trial dumps of a campaign.
+
+    run_experiment writes the manifest, which needs the solve counts too;
+    config stays in the parameter list that perfbench/spans.py pins.
+    """
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "roc.csv"), ROC_HEADER, roc_rows)
     write_csv(os.path.join(out_dir, "rmsd.csv"), RMSD_HEADER, rmsd_rows)
-    from . import __version__
-
-    manifest = {
-        "config": config_to_dict(config),
-        "version": __version__,
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-    }
-    serialize.dump(manifest, os.path.join(out_dir, "manifest.json"))
     if dumps:
         trial_dir = os.path.join(out_dir, "trials")
         os.makedirs(trial_dir, exist_ok=True)
@@ -491,13 +490,34 @@ def run_experiment(
     dump_trials: bool = False,
     out_dir: str | None = None,
 ):
-    """Full campaign: build system, run trials, aggregate, optionally emit."""
+    """Full campaign: build system, run trials, aggregate, optionally emit.
+
+    Solves that stop at solver_max_iters stay in the averages; their count
+    per method goes to the manifest and, when nonzero, to a stderr warning.
+    """
     ctx = build_context(config)
     results = run_trials(ctx, workers=workers, dump_trials=dump_trials)
     roc_rows, rmsd_rows = aggregate(config, results)
+    unconverged = [int(n) for n in np.sum([~r.converged for r in results], axis=0)]
+    if any(unconverged):
+        counts = ", ".join(
+            f"{m.kind} lambda={m.lam}: {n} of {len(results)}"
+            for m, n in zip(config.methods, unconverged) if n
+        )
+        print(f"warning: solves stopped at solver_max_iters={config.solver_max_iters} "
+              f"without converging and are averaged in ({counts})", file=sys.stderr)
     if out_dir is not None:
         dumps = [r.dump for r in results if r.dump is not None]
         emit_results(config, roc_rows, rmsd_rows, out_dir, dumps)
+        from . import __version__
+
+        manifest = {
+            "config": config_to_dict(config),
+            "version": __version__,
+            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "unconverged_solves": unconverged,
+        }
+        serialize.dump(manifest, os.path.join(out_dir, "manifest.json"))
     return roc_rows, rmsd_rows
 
 

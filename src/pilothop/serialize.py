@@ -23,8 +23,10 @@ class _TaggedFloat:
 class _Encoder(json.JSONEncoder):
     def default(self, o):
         if isinstance(o, _TaggedFloat):
-            # placeholder token, replaced by the raw number after encoding
-            return _FLOAT_TAG + format(o.value, ".17g") + _FLOAT_TAG
+            # placeholder token, replaced by the raw number after encoding;
+            # a bare "-0" would read back as the integer 0 and lose the sign
+            text = format(o.value, ".17g")
+            return _FLOAT_TAG + ("-0.0" if text == "-0" else text) + _FLOAT_TAG
         return super().default(o)
 
 

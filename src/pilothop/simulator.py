@@ -1,8 +1,8 @@
 """Stochastic generation.
 
 Event-driven correlated user activity, i.i.d. Rayleigh channels, received
-pilot-phase signals and per-pilot energy estimates, plus the exact
-infinite-antenna measurement path used as a noiseless oracle.
+pilot-phase signals and per-pilot energy estimates. The infinite-antenna
+limit y = A alpha needs no simulation; the harness forms it directly.
 
 Convention: CN(0, s) has real and imaginary parts i.i.d. N(0, s/2).
 Channels are redrawn independently in every coherence interval (block
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sysmodel import SystemConfig, Topology, FadingProfile, PilotHopCode, MeasurementMatrix
+from .sysmodel import SystemConfig, Topology, FadingProfile, PilotHopCode
 
 MONTE_CARLO = "monte_carlo"
 ASYMPTOTIC = "asymptotic"
@@ -30,25 +30,6 @@ class EventSet:
 @dataclass(frozen=True)
 class ActivityVector:
     alpha: np.ndarray  # (K,) of {0,1}
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-interval collective channels.
-
-    g[t] is ML x n complex; column j is the channel of user users[j] in
-    coherence interval t, stacked base station by base station. `users`
-    allows sampling only the (few) active users at scale.
-    """
-
-    g: np.ndarray       # (T, ML, n) complex
-    users: np.ndarray   # (n,) user indices
-
-
-@dataclass(frozen=True)
-class EnergyVector:
-    y: np.ndarray  # (tau_p*T,) flattened like MeasurementMatrix rows
-    source: str    # MONTE_CARLO or ASYMPTOTIC
 
 
 def sample_events(config: SystemConfig, rng: np.random.Generator) -> EventSet:
@@ -93,62 +74,55 @@ def sample_channels(
     fading: FadingProfile,
     config: SystemConfig,
     rng: np.random.Generator,
-    users: np.ndarray | None = None,
-) -> ChannelRealization:
-    """i.i.d. Rayleigh fading: g_k^l ~ CN(0, beta_k^l I_M), fresh per interval."""
-    if users is None:
-        users = np.arange(config.K)
+    users: np.ndarray,
+) -> np.ndarray:
+    """i.i.d. Rayleigh fading: g_k^l ~ CN(0, beta_k^l I_M), fresh per interval.
+
+    Returns g of shape (T, ML, n), complex: g[t][:, j] is the channel of
+    user users[j] in coherence interval t, stacked base station by base
+    station. Only the given users are sampled, so at scale only the (few)
+    active ones are.
+    """
     users = np.asarray(users, dtype=np.int64)
     n = users.shape[0]
     # per-antenna standard deviation, block of M rows per base station
     std = np.sqrt(np.repeat(fading.beta_per_bs[users].T, config.M, axis=0))  # (ML, n)
-    g = std[None, :, :] * _cn(rng, (config.T, config.ml, n))
-    return ChannelRealization(g, users)
+    return std[None, :, :] * _cn(rng, (config.T, config.ml, n))
 
 
 def received_pilot_signal(
     code: PilotHopCode,
     activity: ActivityVector,
-    channels: ChannelRealization,
+    g: np.ndarray,
+    users: np.ndarray,
     fading: FadingProfile,
     config: SystemConfig,
     rng: np.random.Generator,
     t: int,
-    pilots: np.ndarray | None = None,
 ) -> np.ndarray:
     """ML x tau_p pilot-phase signal of coherence interval t (1-based).
 
-    Y^t = sum_k alpha_k sqrt(tau_p p_k) g_k^t phi_{j(k,t)}^H + N^t.
-    By default phi_j is the j-th standard basis vector; an orthonormal
-    `pilots` matrix (columns phi_j) may be supplied instead.
+    Y^t = sum_k alpha_k sqrt(tau_p p_k) g_k^t phi_{j(k,t)}^H + N^t, with
+    phi_j the j-th standard basis vector and g, users as sample_channels
+    returns and takes them.
     """
     if not 1 <= t <= config.T:
         raise ValueError(f"t must be in 1..{config.T}, got {t}")
-    active_cols = np.flatnonzero(activity.alpha[channels.users] == 1)
+    active_cols = np.flatnonzero(activity.alpha[users] == 1)
     Y = np.zeros((config.ml, config.tau_p), dtype=complex)
     if active_cols.size:
-        users = channels.users[active_cols]
-        amp = np.sqrt(config.tau_p * fading.powers[users])  # (n_act,)
-        g = channels.g[t - 1][:, active_cols] * amp[None, :]  # (ML, n_act)
-        hops = code.hops[users, t - 1] - 1
-        np.add.at(Y.T, hops, g.T)  # accumulate per-pilot columns
-    if pilots is not None:
-        # Y holds sum of amp*g e_j^H; with general pilots the rank-one terms
-        # become amp*g phi_j^H, i.e. right-multiplication by pilots^H.
-        Y = Y @ pilots.conj().T
+        active = users[active_cols]
+        amp = np.sqrt(config.tau_p * fading.powers[active])  # (n_act,)
+        signal = g[t - 1][:, active_cols] * amp[None, :]  # (ML, n_act)
+        hops = code.hops[active, t - 1] - 1
+        np.add.at(Y.T, hops, signal.T)  # accumulate per-pilot columns
     noise = np.sqrt(config.sigma2) * _cn(rng, (config.ml, config.tau_p))
     return Y + noise
 
 
-def energy_measurement(
-    Y_t: np.ndarray, config: SystemConfig, pilots: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-pilot energy estimates E_it = ||Y^t phi_i||^2 / (ML) - sigma2."""
-    if pilots is None:
-        proj = Y_t
-    else:
-        proj = Y_t @ pilots
-    return np.sum(np.abs(proj) ** 2, axis=0) / config.ml - config.sigma2
+def energy_measurement(Y_t: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Per-pilot energy estimates E_it = ||Y^t e_i||^2 / (ML) - sigma2."""
+    return np.sum(np.abs(Y_t) ** 2, axis=0) / config.ml - config.sigma2
 
 
 def monte_carlo_energy(
@@ -158,8 +132,9 @@ def monte_carlo_energy(
     config: SystemConfig,
     rng: np.random.Generator,
     noise_rng: np.random.Generator | None = None,
-) -> EnergyVector:
-    """Full finite-antenna measurement path, flattened t-outer/pilot-inner.
+) -> np.ndarray:
+    """Energy vector y of the full finite-antenna measurement path, flattened
+    t-outer/pilot-inner like the measurement matrix rows.
 
     Channels are sampled for active users only; inactive users never enter
     the received signal. A separate noise stream may be supplied so channel
@@ -168,16 +143,9 @@ def monte_carlo_energy(
     if noise_rng is None:
         noise_rng = rng
     active = np.flatnonzero(activity.alpha == 1)
-    channels = sample_channels(fading, config, rng, users=active)
+    g = sample_channels(fading, config, rng, active)
     y = np.empty(config.tau_p * config.T)
     for t in range(1, config.T + 1):
-        Y_t = received_pilot_signal(code, activity, channels, fading, config, noise_rng, t)
+        Y_t = received_pilot_signal(code, activity, g, active, fading, config, noise_rng, t)
         y[(t - 1) * config.tau_p : t * config.tau_p] = energy_measurement(Y_t, config)
-    return EnergyVector(y, MONTE_CARLO)
-
-
-def asymptotic_energy(a: MeasurementMatrix, activity: ActivityVector) -> EnergyVector:
-    """Exact infinite-antenna limit y = A alpha (noiseless oracle path)."""
-    if a.a.shape[1] != activity.alpha.shape[0]:
-        raise ValueError("measurement matrix and activity dimensions do not match")
-    return EnergyVector(a.a @ activity.alpha.astype(float), ASYMPTOTIC)
+    return y

@@ -5,7 +5,7 @@ Two production paths:
 * ``nnls_solve`` — accelerated projected gradient (FISTA with adaptive
   restart) for min_{x>=0} ||Ax - y||^2.
 * ``regularized_solve`` — ADMM operator splitting for
-  min_{x>=0} ||Ax - y||^2 + lambda * sum_j c_j ||B_j x||_2,
+  min_{x>=0} ||Ax - y||^2 + lambda * sum_j ||B_j x||_2,
   where B_j either selects a (possibly overlapping) group of coordinates
   or forms the differences of a coordinate against its neighbors.
   Overlap rules out a one-shot prox, hence the splitting.
@@ -62,7 +62,7 @@ _gemv = scipy.linalg.blas.dgemv
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Group structure, weights and strength of the activity regularizer.
+    """Group structure and strength of the activity regularizer.
 
     kind=GLASSO: B_j selects the coordinates in groups[j].
     kind=TV: groups[j] is the neighbor set of user j and B_j stacks the
@@ -72,7 +72,6 @@ class RegularizerSpec:
 
     kind: str
     groups: tuple = ()
-    weights: np.ndarray | None = None
     lam: float = 0.0
 
     def __post_init__(self):
@@ -85,24 +84,14 @@ class RegularizerSpec:
         for j, g in enumerate(self.groups):
             if len(g) == 0:
                 raise ConfigurationError(f"group {j} is empty")
-        w = self.weights
-        if w is not None and np.any(np.asarray(w) <= 0):
-            raise ConfigurationError("weights must be > 0")
-
-    def weight_vector(self) -> np.ndarray:
-        if self.weights is None:
-            return np.ones(len(self.groups))
-        return np.asarray(self.weights, dtype=float)
 
 
-def glasso_spec(groups, lam: float, weights=None) -> RegularizerSpec:
-    return RegularizerSpec(GLASSO, tuple(np.asarray(g, dtype=np.int64) for g in groups),
-                           weights, lam)
+def glasso_spec(groups, lam: float) -> RegularizerSpec:
+    return RegularizerSpec(GLASSO, tuple(np.asarray(g, dtype=np.int64) for g in groups), lam)
 
 
-def tv_spec(neighbor_sets, lam: float, weights=None) -> RegularizerSpec:
-    return RegularizerSpec(TV, tuple(np.asarray(g, dtype=np.int64) for g in neighbor_sets),
-                           weights, lam)
+def tv_spec(neighbor_sets, lam: float) -> RegularizerSpec:
+    return RegularizerSpec(TV, tuple(np.asarray(g, dtype=np.int64) for g in neighbor_sets), lam)
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,6 @@ class SolverOptions:
 @dataclass
 class SolverResult:
     alpha_hat: np.ndarray
-    objective: float
     iterations: int
     converged: bool
     rejected_steps: int = 0  # accelerated ADMM steps undone by the safeguard
@@ -166,16 +154,6 @@ def _lipschitz(A: np.ndarray, iters: int = 20, tol: float = 1e-6) -> float:
     return 2.0 * lam
 
 
-def regularizer_value(reg: RegularizerSpec, x: np.ndarray) -> float:
-    """lambda * sum_j c_j ||B_j x||_2 for the given regularizer."""
-    if reg.lam == 0.0:
-        return 0.0
-    x = np.asarray(x, dtype=float)
-    B, starts = build_group_operator(reg, x.shape[0])
-    norms = _group_norms(B @ x, starts)
-    return reg.lam * float(reg.weight_vector() @ norms)
-
-
 def _group_norms(Bx: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """||B_j x|| per group from the stacked B x; 0 for groups without rows."""
     nonempty = np.diff(starts) > 0
@@ -183,11 +161,6 @@ def _group_norms(Bx: np.ndarray, starts: np.ndarray) -> np.ndarray:
     if Bx.size:
         norms[nonempty] = np.sqrt(np.add.reduceat(Bx * Bx, starts[:-1][nonempty]))
     return norms
-
-
-def objective_value(A, y, reg: RegularizerSpec, x) -> float:
-    r = A @ x - y
-    return float(r @ r + regularizer_value(reg, x))
 
 
 def build_group_operator(reg: RegularizerSpec, n: int):
@@ -291,7 +264,6 @@ class RegularizedWorkspace:
         self.G = A @ W
         self.A = _csr_if_sparse(A)
         self.W = _csr_if_sparse(W)
-        self.weights = reg.weight_vector()
         self._factors: dict[float, np.ndarray] = {}
 
     def factor(self, rho: float) -> np.ndarray:
@@ -323,7 +295,7 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
     n = A.shape[1]
     L = _lipschitz(A)
     if L == 0.0:  # A == 0: any feasible point is optimal
-        return SolverResult(np.zeros(n), float(y @ y), 0, True)
+        return SolverResult(np.zeros(n), 0, True)
     step = 1.0 / L
     scale = max(np.linalg.norm(2.0 * A.T @ y), options.abs_tol)
     x = np.zeros(n)
@@ -349,8 +321,7 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
             if np.linalg.norm(res) <= options.rel_tol * scale:
                 converged = True
                 break
-    r = A @ x - y
-    return SolverResult(x, float(r @ r), it, converged)
+    return SolverResult(x, it, converged)
 
 
 def regularized_solve(
@@ -360,7 +331,7 @@ def regularized_solve(
     options: SolverOptions | None = None,
     workspace: RegularizedWorkspace | None = None,
 ) -> SolverResult:
-    """ADMM for min_{x>=0} ||Ax - y||^2 + lambda sum_j c_j ||B_j x||_2,
+    """ADMM for min_{x>=0} ||Ax - y||^2 + lambda sum_j ||B_j x||_2,
     with safeguarded type-II Anderson acceleration.
 
     Splitting: z = [B x; x] with the block soft threshold on the group
@@ -403,8 +374,7 @@ def regularized_solve(
     Aty2_norm = np.linalg.norm(Aty2)
     rho = options.rho
     relax = options.over_relax
-    thetas_base = reg.lam * ws.weights  # theta_j = lam*c_j / rho at prox time
-    thetas = thetas_base / rho
+    theta = reg.lam / rho  # block soft-threshold radius
     m_total = ws.m_groups + n  # real stacked rows; the padding is not counted
     eps_pri_floor = np.sqrt(m_total) * options.abs_tol
     n_stack = ws.C.shape[0]
@@ -418,7 +388,7 @@ def regularized_solve(
         np.einsum("ij,ij->j", groups, groups, out=norms)
         np.sqrt(norms, out=norms)
         np.maximum(norms, 1e-300, out=norms)
-        np.divide(thetas, norms, out=norms)
+        np.divide(theta, norms, out=norms)
         np.subtract(1.0, norms, out=norms)
         np.maximum(norms, 0.0, out=norms)
         np.multiply(groups, norms, out=dst[:pad].reshape(shape))
@@ -480,7 +450,7 @@ def regularized_solve(
                 factor = 2.0 if r_pri > r_dual else 0.5
                 rho *= factor
                 rho_changes += 1
-                thetas = thetas_base / rho
+                theta = reg.lam / rho
                 scratch /= factor
                 np.add(z_new, scratch, out=w)
                 stored, f_prev, accelerated = 0, None, False
@@ -524,9 +494,7 @@ def regularized_solve(
     # the KKT certificate see the identified active set
     snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))
     alpha[alpha < snap] = 0.0
-    return SolverResult(
-        alpha, objective_value(A, y, reg, alpha), it, converged, rejected, rho_changes
-    )
+    return SolverResult(alpha, it, converged, rejected, rho_changes)
 
 
 def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int):
@@ -534,7 +502,7 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
 
     The smooth and active-group parts of the subgradient are fixed; for
     groups with B_j x = 0 the subgradient contribution B_j^T v_j ranges
-    over the ball ||v_j|| <= lam*c_j, and we minimize the restricted
+    over the ball ||v_j|| <= lam, and we minimize the restricted
     residual norm over those v_j. reg=None is plain NNLS.
     """
     g0 = 2.0 * (A.T @ (A @ x - y))
@@ -549,7 +517,6 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     B, starts = build_group_operator(reg, x.shape[0])
     if B.shape[0] == 0:
         return np.linalg.norm(restricted(g0))
-    w = reg.weight_vector()
     Bx = B @ x
     sizes = np.diff(starts)
     norms = _group_norms(Bx, starts)
@@ -564,9 +531,9 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
         if sizes[j] == 0:
             continue
         if active[j]:
-            fixed[sl] = reg.lam * w[j] * Bx[sl] / norms[j]
+            fixed[sl] = reg.lam * Bx[sl] / norms[j]
         else:
-            radii_rows[sl] = reg.lam * w[j]
+            radii_rows[sl] = reg.lam
     g_fixed = g0 + B.T @ fixed
 
     free = radii_rows > 0.0

@@ -90,22 +90,12 @@ class SystemConfig:
     def ml(self) -> int:
         return self.M * self.L
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class Topology:
     user_positions: np.ndarray  # (K, 2) in [0,1]^2
     bs_positions: np.ndarray    # (L, 2)
     distances: np.ndarray       # (K, L) Euclidean
-
-    def to_dict(self) -> dict:
-        return {
-            "user_positions": self.user_positions,
-            "bs_positions": self.bs_positions,
-            "distances": self.distances,
-        }
 
 
 @dataclass(frozen=True)
@@ -116,22 +106,10 @@ class FadingProfile:
     gamma: float             # path-loss constant
     powers: np.ndarray       # (K,) channel-inversion transmit powers p_k
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_per_bs": self.beta_per_bs,
-            "beta": self.beta,
-            "beta_min": self.beta_min,
-            "gamma": self.gamma,
-            "powers": self.powers,
-        }
-
 
 @dataclass(frozen=True)
 class PilotHopCode:
     hops: np.ndarray  # (K, T) ints in 1..tau_p
-
-    def to_dict(self) -> dict:
-        return {"hops": self.hops}
 
 
 @dataclass(frozen=True)
@@ -143,9 +121,6 @@ class MeasurementMatrix:
     """
 
     a: np.ndarray  # (tau_p*T, K)
-
-    def to_dict(self) -> dict:
-        return {"a": self.a}
 
 
 def build_topology(config: SystemConfig, bs_positions: np.ndarray | None = None) -> Topology:
@@ -287,34 +262,16 @@ def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
 
 
 def save_system(path, config, topology, fading, code, a):
+    """system.json: every field of the system's parts, under schema
+    ``pilothop-system-v1``."""
     serialize.dump(
         {
             "schema": "pilothop-system-v1",
-            "config": config.to_dict(),
-            "topology": topology.to_dict(),
-            "fading": fading.to_dict(),
-            "code": code.to_dict(),
-            "measurement_matrix": a.to_dict(),
+            "config": asdict(config),
+            "topology": asdict(topology),
+            "fading": asdict(fading),
+            "code": asdict(code),
+            "measurement_matrix": asdict(a),
         },
         path,
     )
-
-
-def load_system(path):
-    doc = serialize.load(path)
-    if doc.get("schema") != "pilothop-system-v1":
-        raise ConfigurationError(f"unexpected system schema in {path}")
-    config = SystemConfig(**doc["config"])
-    topo = Topology(
-        np.array(doc["topology"]["user_positions"]),
-        np.array(doc["topology"]["bs_positions"]),
-        np.array(doc["topology"]["distances"]),
-    )
-    fad = doc["fading"]
-    fading = FadingProfile(
-        np.array(fad["beta_per_bs"]), np.array(fad["beta"]),
-        fad["beta_min"], fad["gamma"], np.array(fad["powers"]),
-    )
-    code = PilotHopCode(np.array(doc["code"]["hops"], dtype=np.int64))
-    a = MeasurementMatrix(np.array(doc["measurement_matrix"]["a"]))
-    return config, topo, fading, code, a

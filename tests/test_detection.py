@@ -8,12 +8,12 @@ from pilothop import detection
 
 class TestThresholdDetect:
     def test_strict_inequality(self):
-        res = detection.threshold_detect(np.array([0.0, 0.5, 0.5001, 1.0]), 0.5)
-        assert np.array_equal(res.detected, [0, 0, 1, 1])
+        mask = detection.threshold_detect(np.array([0.0, 0.5, 0.5001, 1.0]), 0.5)
+        assert np.array_equal(mask, [0, 0, 1, 1]) and mask.dtype == np.int64
 
     def test_negative_threshold_detects_zeros(self):
-        res = detection.threshold_detect(np.zeros(3), -1.0)
-        assert np.array_equal(res.detected, [1, 1, 1])
+        mask = detection.threshold_detect(np.zeros(3), -1.0)
+        assert np.array_equal(mask, [1, 1, 1])
 
     def test_rejects_nan_threshold(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import load_system
 from pilothop import cli, harness, serialize, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
@@ -203,7 +204,7 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         rc = cli.main(["topology", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 0
-        loaded = sysmodel.load_system(tmp_path / "out" / "system.json")
+        loaded = load_system(tmp_path / "out" / "system.json")
         assert loaded[0].K == 36
 
     def test_simulate_then_detect(self, tmp_path):
@@ -358,12 +359,14 @@ class TestCli:
             ('"master_seed": -1', "master_seed"),
             ('"system": {"E": 400}', "E must be <= 50"),
             ('"system": {"E": 51}', "E must be <= 50"),
+            ('"output_dir": null', "output_dir must be a string"),
+            ('"antennas_mode": {"a": 1}', "antennas_mode must be a string"),
         ],
         ids=["rel_tol", "r", "sigma2", "sigma_e2", "p", "snr_db", "eta",
              "nan-threshold", "unsorted-thresholds", "nan-lambda-grid",
              "string-r", "string-K", "string-lambda", "string-n_trials",
              "methods-not-list", "thresholds-not-list", "negative-seed",
-             "E-400", "E-51"],
+             "E-400", "E-51", "null-output_dir", "object-antennas_mode"],
     )
     def test_non_finite_or_unsorted_input_exit_code(self, tmp_path, capsys, fragment, name):
         # json.loads accepts the bare NaN and Infinity tokens
@@ -375,6 +378,47 @@ class TestCli:
         assert rc == 2
         assert name in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+    def test_quick_rejects_file_system_scale(self, tmp_path, capsys):
+        # --quick would replace the file's K, grid_side, tau_p, T, r and sigma_e2
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--quick", "--trials", "1", "--config", cfg, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "['K', 'T', 'grid_side', 'r', 'sigma_e2', 'tau_p']" in err
+        assert not (out / "manifest.json").exists()
+
+    def test_quick_combines_with_other_file_keys(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "system": {"M": 8}, "methods": [{"kind": "nnls"}]}')
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--quick", "--trials", "1", "--config", str(path),
+                       "--out", str(out)])
+        assert rc == 0
+        system = serialize.load(out / "manifest.json")["config"]["system"]
+        assert (system["K"], system["M"]) == (324, 8)
+
+    def test_unconverged_solves_are_counted(self, tmp_path, capsys):
+        # three iterations stop every solve at the cap, NNLS included
+        cfg = self.write_config(tmp_path, solver_max_iters=3)
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--config", cfg, "--trials", "2", "--out", str(out)])
+        assert rc == 0
+        manifest = serialize.load(out / "manifest.json")
+        assert manifest["unconverged_solves"] == [2, 2, 2]
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1
+        assert "nnls lambda=0.0: 2 of 2" in err and "glasso lambda=0.06: 2 of 2" in err
+        # the curves are written as with any other campaign
+        assert (out / "roc.csv").exists() and (out / "rmsd.csv").exists()
+
+    def test_converged_campaign_warns_nothing(self, tmp_path, capsys):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["roc", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
+        assert serialize.load(out / "manifest.json")["unconverged_solves"] == [0, 0, 0]
+        assert capsys.readouterr().err == ""
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["roc", "--config", str(tmp_path / "nope.json")])

