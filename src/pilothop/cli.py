@@ -40,7 +40,8 @@ def _add_common(p, trials=True, campaign=False):
         p.add_argument("--trials", type=int, metavar="N", help="trial count override")
     p.add_argument("--out", metavar="DIR", help="output directory override")
     p.add_argument("--quick", action="store_true",
-                   help="reduced-scale preset (18x18 grid, 6 pilots/intervals, 50 trials)")
+                   help="reduced-scale preset (18x18 grid, 6 pilots/intervals, "
+                        "at most 50 trials)")
     if campaign:
         p.add_argument("--workers", type=int, default=1, metavar="N", help="worker processes")
         p.add_argument("--dump-trials", action="store_true", help="write per-trial JSON dumps")

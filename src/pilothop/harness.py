@@ -115,12 +115,13 @@ class ExperimentConfig:
 # sigma_e2 x4) so neighbor sets keep 9 members and an event still
 # activates roughly 7.5 users
 QUICK_SYSTEM = dict(K=324, grid_side=18, tau_p=6, T=6, r=0.1, sigma_e2=0.004)
+QUICK_MAX_TRIALS = 50
 
 
 def quick_preset(config: ExperimentConfig) -> ExperimentConfig:
-    """Reduced-scale preset for CI-speed runs: QUICK_SYSTEM, at most 50 trials."""
+    """Reduced-scale preset: QUICK_SYSTEM, at most QUICK_MAX_TRIALS trials."""
     system = replace(config.system, **QUICK_SYSTEM)
-    return replace(config, system=system, n_trials=min(config.n_trials, 50))
+    return replace(config, system=system, n_trials=min(config.n_trials, QUICK_MAX_TRIALS))
 
 
 # --- config file parsing ---------------------------------------------------
@@ -209,7 +210,8 @@ def parse_config(path, quick: bool = False) -> ExperimentConfig:
     """The config file at path.
 
     quick=True means the quick preset will be applied. It overrides the
-    system keys of QUICK_SYSTEM, so a file that sets any of them is
+    system keys of QUICK_SYSTEM and caps n_trials at QUICK_MAX_TRIALS, so a
+    file that sets any of those keys, or more trials than the cap, is
     rejected rather than silently overridden.
     """
     try:
@@ -225,6 +227,11 @@ def parse_config(path, quick: bool = False) -> ExperimentConfig:
             f"{path} sets system keys {fixed}, which --quick replaces; "
             "remove them or drop --quick"
         )
+    if quick and "n_trials" in doc and config.n_trials > QUICK_MAX_TRIALS:
+        raise ConfigurationError(
+            f"{path} sets n_trials={config.n_trials}, but --quick runs at most "
+            f"{QUICK_MAX_TRIALS}; lower it or drop --quick"
+        )
     return config
 
 
@@ -238,7 +245,7 @@ class SystemContext:
     config: ExperimentConfig
     topology: sysmodel.Topology
     fading: sysmodel.FadingProfile
-    code: sysmodel.PilotHopCode
+    code: np.ndarray    # (K, T) hop table
     a_norm: np.ndarray  # measurement matrix on the unit-nonzero scale
     scale: float        # tau_p * p * beta_min
     reg_specs: list     # per-method RegularizerSpec or None (nnls path)
@@ -261,7 +268,7 @@ def build_context(config: ExperimentConfig) -> SystemContext:
     rng = stream(config.master_seed, SYSTEM_SPAWN, 0)
     topology, fading, code, a = sysmodel.build_system(sys_cfg, rng)
     scale = sys_cfg.tau_p * sys_cfg.p * fading.beta_min
-    a_norm = a.a / scale
+    a_norm = a / scale
     neighbors = None
     reg_specs = []
     for m in config.methods:
@@ -300,7 +307,7 @@ def simulate_trial(ctx: SystemContext, trial_index: int):
         ctx.topology, events, sys_cfg, stream(seed, trial_index, ACTIVITY)
     )
     if config.antennas_mode == simulator.ASYMPTOTIC:
-        y_norm = ctx.a_norm @ activity.alpha.astype(float)
+        y_norm = ctx.a_norm @ activity.astype(float)
     else:
         y = simulator.monte_carlo_energy(
             ctx.code, activity, ctx.fading, sys_cfg,
@@ -315,8 +322,8 @@ def trial_dump(ctx: SystemContext, trial_index: int, events, activity, y_norm) -
     """The JSON record of one realization, as `simulate` and --dump-trials write it."""
     return {
         "seed": {"master_seed": ctx.config.master_seed, "trial_index": trial_index},
-        "events": events.positions,
-        "alpha": activity.alpha,
+        "events": events,
+        "alpha": activity,
         "y": y_norm * ctx.scale,
         "source": ctx.config.antennas_mode,
     }
@@ -326,15 +333,17 @@ def solve_method(
     ctx: SystemContext, method_index: int, y_norm: np.ndarray, workspaces: dict
 ) -> solvers.SolverResult:
     """Activity estimate of one configured method: NNLS when it has no
-    regularizer, else ADMM on the method's workspace, built on first use
-    and kept in ``workspaces`` under the method index."""
+    regularizer, else ADMM on a workspace built on first use and kept in
+    ``workspaces`` under the regularizer kind. A workspace does not depend
+    on lambda, and every method of a kind has the same groups, so methods
+    that differ only in lambda share one."""
     options = ctx.config.solver_options()
     reg = ctx.reg_specs[method_index]
     if reg is None:
         return solvers.nnls_solve(ctx.a_norm, y_norm, options)
-    ws = workspaces.get(method_index)
+    ws = workspaces.get(reg.kind)
     if ws is None:
-        ws = workspaces[method_index] = solvers.RegularizedWorkspace(ctx.a_norm, reg, options)
+        ws = workspaces[reg.kind] = solvers.RegularizedWorkspace(ctx.a_norm, reg, options)
     return solvers.regularized_solve(ctx.a_norm, y_norm, reg, options, workspace=ws)
 
 
@@ -366,14 +375,14 @@ def run_trial(
     for mi in range(shape[0]):
         result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
-        sweep = detection.roc_sweep(result.alpha_hat, activity.alpha, config.thresholds)
+        sweep = detection.roc_sweep(result.alpha_hat, activity, config.thresholds)
         for ti, (mask, cm) in enumerate(sweep):
             p_m[mi, ti] = cm.p_m
             p_fa[mi, ti] = cm.p_fa
             zero_detected[mi, ti] = not mask.any()
             if localize:
                 est = detection.localize_events(
-                    ctx.topology.user_positions, mask, events.positions,
+                    ctx.topology.user_positions, mask, events,
                     stream(seed, trial_index, KMEANS, mi, ti),
                 )
                 rmsd[mi, ti] = est.rmsd

@@ -1,12 +1,14 @@
 """Deterministic system construction.
 
 Topology, large-scale fading with statistical channel inversion power
-control, pilot-hopping codes, and the energy-domain measurement matrix.
-Everything here is a pure function of (config, rng); the resulting
-objects are immutable and safe to share across workers.
+control, the pilot-hopping code (a (K, T) hop table) and the energy-domain
+measurement matrix (a (tau_p*T, K) array). Everything here is a pure
+function of (config, rng); nothing is modified after construction, so the
+results are safe to share across workers.
 """
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, asdict, fields
@@ -20,6 +22,9 @@ from . import serialize
 EDGE_MIDPOINT_BS = np.array([[0.0, 0.5], [1.0, 0.5], [0.5, 0.0], [0.5, 1.0]])
 # Largest event count: event pairing (detection.match_events) is O(E^3).
 MAX_EVENTS = 50
+# Largest measurement count tau_p*T: the ADMM workspace factors a dense
+# (tau_p*T)^2 capacitance matrix.
+MAX_MEASUREMENTS = 4096
 
 
 def require_number(name: str, value, integer: bool = False):
@@ -73,8 +78,15 @@ class SystemConfig:
         for name in ("snr_db", "eta"):
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)}")
-        # unique hopping sequences must exist
-        if self.K > self.tau_p**self.T:
+        if self.tau_p * self.T > MAX_MEASUREMENTS:
+            raise ConfigurationError(
+                f"tau_p*T must be <= {MAX_MEASUREMENTS}, got {self.tau_p * self.T}: "
+                "the regularized solvers factor a dense (tau_p*T)^2 matrix, 134 MB "
+                f"at {MAX_MEASUREMENTS}"
+            )
+        # unique hopping sequences must exist; tau_p**T >= 2**T > K once
+        # T >= K.bit_length(), so the exponent never needs to be larger
+        if self.K > self.tau_p ** min(self.T, self.K.bit_length()):
             raise ConfigurationError(
                 f"K={self.K} exceeds tau_p**T={self.tau_p ** self.T}: "
                 "unique pilot-hopping sequences do not exist"
@@ -105,22 +117,6 @@ class FadingProfile:
     beta_min: float
     gamma: float             # path-loss constant
     powers: np.ndarray       # (K,) channel-inversion transmit powers p_k
-
-
-@dataclass(frozen=True)
-class PilotHopCode:
-    hops: np.ndarray  # (K, T) ints in 1..tau_p
-
-
-@dataclass(frozen=True)
-class MeasurementMatrix:
-    """Energy-domain sensing matrix.
-
-    Row (i, t) is flattened as (t-1)*tau_p + i with t outer and the pilot
-    index i inner, matching the energy vector layout.
-    """
-
-    a: np.ndarray  # (tau_p*T, K)
 
 
 def build_topology(config: SystemConfig, bs_positions: np.ndarray | None = None) -> Topology:
@@ -160,33 +156,40 @@ def calibrate_gamma(config: SystemConfig, topology: Topology) -> float:
     SNR = p*beta_min/sigma2 with beta_min = min_k (gamma/L) sum_l d_kl^-eta,
     so gamma follows in closed form.
     """
-    if np.any(topology.distances <= 0):
-        raise NumericalError("zero user-to-base-station distance")
     mean_gain = np.mean(topology.distances ** (-config.eta), axis=1)  # (K,)
-    snr_lin = 10.0 ** (config.snr_db / 10.0)
+    try:
+        snr_lin = 10.0 ** (config.snr_db / 10.0)
+    except OverflowError:
+        snr_lin = math.inf  # build_fading rejects the infinite fading
     return snr_lin * config.sigma2 / (config.p * np.min(mean_gain))
 
 
 def build_fading(config: SystemConfig, topology: Topology, gamma: float) -> FadingProfile:
     """Large-scale fading and statistical channel inversion power control."""
-    if gamma <= 0:
-        raise ConfigurationError(f"gamma must be > 0, got {gamma}")
     beta_per_bs = gamma * topology.distances ** (-config.eta)
     beta = beta_per_bs.mean(axis=1)
     beta_min = float(np.min(beta))
+    # reachable from a config file: snr_db = -4000 underflows gamma to 0,
+    # snr_db = 4000 overflows it, and eta = 300 overflows d^-eta
+    if not (np.all(np.isfinite(beta_per_bs)) and beta_min > 0):
+        raise ConfigurationError(
+            "snr_db, sigma2, p and eta put the large-scale fading out of "
+            f"floating-point range (path-loss constant {gamma}): every coefficient "
+            "must be finite and every user's mean positive"
+        )
     powers = config.p * beta_min / beta  # p_k*beta_k == p*beta_min for all k
     return FadingProfile(beta_per_bs, beta, beta_min, float(gamma), powers)
 
 
-def generate_code(config: SystemConfig, rng: np.random.Generator) -> PilotHopCode:
-    """Draw K distinct pilot-hopping sequences uniformly at random.
+def generate_code(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
+    """The (K, T) int64 hop table: row k holds user k's pilot (1..tau_p) in
+    each coherence interval, and no two rows are equal.
 
     Sequences are drawn i.i.d. uniform over the tau_p**T possibilities and
     rejection-sampled until all rows are distinct, which is equivalent to
-    uniform sampling without replacement.
+    uniform sampling without replacement. SystemConfig guarantees that K
+    distinct sequences exist.
     """
-    if config.K > config.tau_p**config.T:
-        raise ConfigurationError("K > tau_p**T: unique sequences do not exist")
     hops = np.empty((config.K, config.T), dtype=np.int64)
     seen = set()
     k = 0
@@ -198,33 +201,34 @@ def generate_code(config: SystemConfig, rng: np.random.Generator) -> PilotHopCod
         seen.add(key)
         hops[k] = row
         k += 1
-    return PilotHopCode(hops)
+    return hops
 
 
 def build_measurement_matrix(
-    code: PilotHopCode, fading: FadingProfile, config: SystemConfig
-) -> MeasurementMatrix:
-    """Assemble the tau_p*T x K matrix with entries S_ikt * tau_p * p_k * beta_k."""
-    K, T = code.hops.shape
-    if K != config.K or T != config.T:
-        raise ConfigurationError("code dimensions do not match config")
+    hops: np.ndarray, fading: FadingProfile, config: SystemConfig
+) -> np.ndarray:
+    """The (tau_p*T, K) energy-domain sensing matrix, entries
+    S_ikt * tau_p * p_k * beta_k.
+
+    Row (i, t) is flattened as (t-1)*tau_p + i with t outer and the pilot
+    index i inner, matching the energy vector layout.
+    """
+    K, T = hops.shape
     a = np.zeros((config.tau_p * T, K))
-    gains = config.tau_p * fading.powers * fading.beta  # (K,)
-    rows = np.arange(T) * config.tau_p  # row base per interval
-    for k in range(K):
-        a[rows + code.hops[k] - 1, k] = gains[k]
-    return MeasurementMatrix(a)
+    rows = np.arange(T) * config.tau_p + hops - 1  # (K, T)
+    a[rows, np.arange(K)[:, None]] = (config.tau_p * fading.powers * fading.beta)[:, None]
+    return a
 
 
 def build_system(config: SystemConfig, rng: np.random.Generator,
                  bs_positions: np.ndarray | None = None):
-    """Convenience: topology, calibrated fading, code and matrix in one call."""
+    """(topology, fading, hops, a): the topology, calibrated fading, hop
+    table and measurement matrix in one call."""
     topology = build_topology(config, bs_positions)
     gamma = calibrate_gamma(config, topology)
     fading = build_fading(config, topology, gamma)
-    code = generate_code(config, rng)
-    a = build_measurement_matrix(code, fading, config)
-    return topology, fading, code, a
+    hops = generate_code(config, rng)
+    return topology, fading, hops, build_measurement_matrix(hops, fading, config)
 
 
 def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
@@ -261,7 +265,7 @@ def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
     return np.split(j[by_pair], np.searchsorted(i[by_pair], np.arange(1, K)))
 
 
-def save_system(path, config, topology, fading, code, a):
+def save_system(path, config, topology, fading, hops, a):
     """system.json: every field of the system's parts, under schema
     ``pilothop-system-v1``."""
     serialize.dump(
@@ -270,8 +274,8 @@ def save_system(path, config, topology, fading, code, a):
             "config": asdict(config),
             "topology": asdict(topology),
             "fading": asdict(fading),
-            "code": asdict(code),
-            "measurement_matrix": asdict(a),
+            "code": {"hops": hops},
+            "measurement_matrix": {"a": a},
         },
         path,
     )

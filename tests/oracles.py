@@ -1,7 +1,7 @@
 """Reference values and solvers for the tests, independent of the production paths."""
 import numpy as np
 
-from pilothop import serialize, solvers, sysmodel
+from pilothop import serialize, simulator, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -17,6 +17,35 @@ def regularizer_value(reg: solvers.RegularizerSpec | None, x: np.ndarray) -> flo
 def objective_value(A, y, reg: solvers.RegularizerSpec | None, x) -> float:
     r = A @ x - y
     return float(r @ r + regularizer_value(reg, x))
+
+
+def measurement_matrix_loop(hops, fading, config):
+    """Column-by-column reference of sysmodel.build_measurement_matrix."""
+    K, T = hops.shape
+    a = np.zeros((config.tau_p * T, K))
+    rows = np.arange(T) * config.tau_p
+    for k in range(K):
+        a[rows + hops[k] - 1, k] = config.tau_p * fading.powers[k] * fading.beta[k]
+    return a
+
+
+def monte_carlo_energy_loop(code, activity, fading, config, rng, noise_rng):
+    """Interval-by-interval reference of simulator.monte_carlo_energy: the
+    received signal Y^t of each coherence interval, then its per-pilot
+    energies, with the same draws and the same arithmetic."""
+    active = np.flatnonzero(activity == 1)
+    g = simulator.sample_channels(fading, config, rng, active)
+    amp = np.sqrt(config.tau_p * fading.powers[active])
+    y = np.empty((config.T, config.tau_p))
+    for t in range(config.T):
+        Y = np.zeros((config.ml, config.tau_p), dtype=complex)
+        np.add.at(Y.T, code[active, t] - 1, (g[t] * amp).T)
+        shape = (config.ml, config.tau_p)
+        noise = (noise_rng.standard_normal(shape)
+                 + 1j * noise_rng.standard_normal(shape)) / np.sqrt(2.0)
+        Y = Y + np.sqrt(config.sigma2) * noise
+        y[t] = np.sum(np.abs(Y) ** 2, axis=0) / config.ml - config.sigma2
+    return y.ravel()
 
 
 def load_system(path):
@@ -35,9 +64,9 @@ def load_system(path):
         np.array(fad["beta_per_bs"]), np.array(fad["beta"]),
         fad["beta_min"], fad["gamma"], np.array(fad["powers"]),
     )
-    code = sysmodel.PilotHopCode(np.array(doc["code"]["hops"], dtype=np.int64))
-    a = sysmodel.MeasurementMatrix(np.array(doc["measurement_matrix"]["a"]))
-    return config, topo, fading, code, a
+    hops = np.array(doc["code"]["hops"], dtype=np.int64)
+    a = np.array(doc["measurement_matrix"]["a"])
+    return config, topo, fading, hops, a
 
 
 def subgradient_oracle(

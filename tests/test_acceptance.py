@@ -80,12 +80,11 @@ def test_criterion_3_asymptotic_convergence():
         topo, fading, code, a = sysmodel.build_system(cfg, np.random.default_rng(77))
         alpha = np.zeros(cfg.K, dtype=np.int64)
         alpha[active] = 1
-        act = simulator.ActivityVector(alpha)
-        target = a.a @ alpha.astype(float)
+        target = a @ alpha.astype(float)
         t_norm = np.linalg.norm(target)
         rng = np.random.default_rng(78)
         rel = [
-            np.linalg.norm(simulator.monte_carlo_energy(code, act, fading, cfg, rng) - target)
+            np.linalg.norm(simulator.monte_carlo_energy(code, alpha, fading, cfg, rng) - target)
             / t_norm
             for _ in range(200)
         ]
@@ -190,10 +189,10 @@ def test_criterion_5_nnls_sparse_recovery():
         while True:
             events = simulator.sample_events(cfg.system, rng)
             activity = simulator.sample_activity(ctx.topology, events, cfg.system, rng)
-            n_active = int(activity.alpha.sum())
+            n_active = int(activity.sum())
             if 1 <= n_active <= 25:
                 break
-        alpha = activity.alpha.astype(float)
+        alpha = activity.astype(float)
         y = A @ alpha
         res = solvers.nnls_solve(A, y, options)
         if not res.converged:

@@ -1,5 +1,6 @@
 import csv
 import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -131,6 +132,21 @@ class TestTrialExecution:
         roc_p, rmsd_p = harness.aggregate(config, parallel)
         assert roc_s == roc_p
         assert rmsd_s == rmsd_p
+
+    def test_sweep_lambda_shares_one_workspace_per_kind(self):
+        config = harness.sweep_lambda_config(tiny_experiment(n_trials=1))
+        ctx = harness.build_context(config)
+        workspaces = {}
+        shared = harness.run_trial(ctx, 0, workspaces, localize=False)
+        # ten regularized methods (lambda = 0 is solved as NNLS), two kinds
+        assert sorted(workspaces) == ["glasso", "tv"]
+        _, _, y_norm = harness.simulate_trial(ctx, 0)
+        for mi in range(len(config.methods)):
+            own = harness.solve_method(ctx, mi, y_norm, {})
+            again = harness.solve_method(ctx, mi, y_norm, workspaces)
+            assert np.array_equal(own.alpha_hat, again.alpha_hat)
+            assert own.iterations == again.iterations
+        assert shared.converged.all()
 
     def test_asymptotic_mode_is_noiseless(self):
         config = tiny_experiment(antennas_mode="asymptotic", n_trials=1)
@@ -361,12 +377,15 @@ class TestCli:
             ('"system": {"E": 51}', "E must be <= 50"),
             ('"output_dir": null', "output_dir must be a string"),
             ('"antennas_mode": {"a": 1}', "antennas_mode must be a string"),
+            ('"system": {"snr_db": 4000}', "large-scale fading"),
+            ('"system": {"snr_db": -4000}', "large-scale fading"),
         ],
         ids=["rel_tol", "r", "sigma2", "sigma_e2", "p", "snr_db", "eta",
              "nan-threshold", "unsorted-thresholds", "nan-lambda-grid",
              "string-r", "string-K", "string-lambda", "string-n_trials",
              "methods-not-list", "thresholds-not-list", "negative-seed",
-             "E-400", "E-51", "null-output_dir", "object-antennas_mode"],
+             "E-400", "E-51", "null-output_dir", "object-antennas_mode",
+             "overflowing-snr_db", "underflowing-snr_db"],
     )
     def test_non_finite_or_unsorted_input_exit_code(self, tmp_path, capsys, fragment, name):
         # json.loads accepts the bare NaN and Infinity tokens
@@ -379,6 +398,18 @@ class TestCli:
         assert name in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["topology", "simulate"])
+    def test_fading_overflow_exits_before_writing(self, tmp_path, capsys, command):
+        # d^-eta overflows for the users next to a base station
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "n_trials": 1, "system": {"eta": 300}}')
+        out = tmp_path / "out"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = cli.main([command, "--quick", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "large-scale fading" in capsys.readouterr().err
+        assert not [f for f in out.rglob("*") if f.is_file()]
+
     def test_quick_rejects_file_system_scale(self, tmp_path, capsys):
         # --quick would replace the file's K, grid_side, tau_p, T, r and sigma_e2
         cfg = self.write_config(tmp_path)
@@ -388,6 +419,37 @@ class TestCli:
         err = capsys.readouterr().err
         assert "['K', 'T', 'grid_side', 'r', 'sigma_e2', 'tau_p']" in err
         assert not (out / "manifest.json").exists()
+
+    def test_quick_rejects_file_trial_count_over_cap(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "n_trials": 200}')
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--quick", "--config", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "n_trials=200" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("doc, trials", [
+        ('{"schema_version": 1}', 50),
+        ('{"schema_version": 1, "n_trials": 50}', 50),
+        ('{"schema_version": 1, "n_trials": 7}', 7),
+    ], ids=["unset", "at-cap", "below-cap"])
+    def test_quick_trial_count_within_cap(self, tmp_path, doc, trials):
+        path = tmp_path / "config.json"
+        path.write_text(doc)
+        config = harness.quick_preset(harness.parse_config(path, quick=True))
+        assert config.n_trials == trials
+
+    def test_huge_coherence_count_exits_fast(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "system": {"T": 1000000}}')
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        rc = cli.main(["roc", "--config", str(path), "--out", str(out)])
+        assert time.perf_counter() - start < 0.1
+        assert rc == 2
+        assert "tau_p*T must be <= 4096" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_quick_combines_with_other_file_keys(self, tmp_path):
         path = tmp_path / "config.json"

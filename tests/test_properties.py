@@ -1,13 +1,16 @@
-"""Property tests of the config boundary and the JSON writer.
+"""Property tests of the config boundary, the CLI and the JSON writer.
 
 Fuzzed documents through ``harness.config_from_dict`` may be rejected only
 by ConfigurationError; every accepted one round-trips through
-``config_to_dict``. ``serialize.dumps`` round-trips finite floats bit for
-bit and refuses NaN and infinities.
+``config_to_dict``. Perturbed small campaigns through ``cli.main`` exit 0
+or 2 and write a manifest exactly when they exit 0. ``serialize.dumps``
+round-trips finite floats bit for bit and refuses NaN and infinities.
 """
 import json
 import math
+import os
 import struct
+import tempfile
 import warnings
 
 import numpy as np
@@ -15,11 +18,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pilothop import harness, serialize
+from pilothop import cli, harness, serialize
 from pilothop.errors import ConfigurationError
 
-# Small integers only: SystemConfig compares K with tau_p**T, and huge
-# exponents are slow to evaluate.
 SMALL_INTS = st.integers(min_value=-5, max_value=2000)
 ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 SCALARS = st.none() | st.booleans() | SMALL_INTS | ANY_FLOAT | st.text(max_size=6)
@@ -110,6 +111,68 @@ def test_accepted_config_round_trips(doc):
     back = harness.config_to_dict(config)
     assert parse(back) == config
     assert parse(json.loads(serialize.dumps(back))) == config
+
+
+# A 6x6-grid campaign of two trials, about 0.35 s; the solver cap bounds
+# the solves that a perturbed tolerance or lambda would make slow.
+TINY = {
+    "schema_version": 1,
+    "system": {"K": 36, "grid_side": 6, "M": 8, "tau_p": 4, "T": 4,
+               "sigma_e2": 0.01, "r": 0.2, "E": 2},
+    "thresholds": [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.05, 1.2],
+    "n_trials": 2,
+    "solver_max_iters": 2000,
+}
+# perturbations that keep an accepted campaign small
+CLI_SYSTEM = {
+    "K": st.integers(-1, 40),
+    "L": st.integers(0, 6),
+    "M": st.integers(0, 16),
+    "tau_p": st.integers(0, 12),
+    "T": st.integers(0, 12) | st.just(10**6),
+    "snr_db": ANY_FLOAT,
+    "sigma2": ANY_FLOAT,
+    "p": ANY_FLOAT,
+    "eta": ANY_FLOAT,
+    "sigma_e2": ANY_FLOAT,
+    "E": st.integers(-1, 60),
+    "r": ANY_FLOAT,
+    "grid_side": st.integers(0, 8),
+}
+CLI_TOP = {
+    "methods": st.lists(st.fixed_dictionaries(
+        {"kind": st.sampled_from(["nnls", "tv", "glasso"])},
+        optional={"lambda": ANY_FLOAT}), max_size=3),
+    "thresholds": st.lists(ANY_FLOAT, max_size=5),
+    "lambdas": st.lists(ANY_FLOAT, max_size=3),
+    "n_trials": st.integers(-1, 2),
+    "master_seed": st.integers(-1, 2**64),
+    "antennas_mode": st.sampled_from(["monte_carlo", "asymptotic", "both"]),
+    "solver_rel_tol": ANY_FLOAT,
+    "solver_max_iters": st.integers(-1, 2000),
+}
+
+
+def overrides(fields):
+    """Up to two of the given fields, each set to a plausible value or junk."""
+    item = st.sampled_from(sorted(fields)).flatmap(
+        lambda k: st.tuples(st.just(k), fields[k] | JSON_VALUES))
+    return st.lists(item, max_size=2).map(dict)
+
+
+@settings(max_examples=250, suppress_health_check=[HealthCheck.too_slow], **FIXED)
+@given(overrides(CLI_TOP), overrides(CLI_SYSTEM))
+def test_cli_exits_0_or_2_and_writes_a_manifest_only_on_success(top, system):
+    doc = {**TINY, **top, "system": {**TINY["system"], **system}}
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)  # NaN and Infinity reach the parser as bare tokens
+        out = os.path.join(tmp, "out")
+        rc = cli.main(["roc", "--config", path, "--out", out])
+        assert rc in (0, 2)
+        assert os.path.exists(os.path.join(out, "manifest.json")) == (rc == 0)
 
 
 def bits(x) -> bytes:

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from pilothop import simulator, sysmodel
 
 
@@ -19,19 +20,19 @@ class TestEvents:
     def test_zero_events(self):
         cfg, *_ = small_system(E=0)
         ev = simulator.sample_events(cfg, np.random.default_rng(1))
-        assert ev.positions.shape == (0, 2)
+        assert ev.shape == (0, 2)
 
     def test_three_events_in_unit_square(self):
         cfg, *_ = small_system(E=3)
         ev = simulator.sample_events(cfg, np.random.default_rng(1))
-        assert ev.positions.shape == (3, 2)
-        assert np.all(ev.positions >= 0) and np.all(ev.positions <= 1)
+        assert ev.shape == (3, 2)
+        assert np.all(ev >= 0) and np.all(ev <= 1)
 
     def test_mean_position_is_center(self):
         cfg, *_ = small_system(E=1)
         rng = np.random.default_rng(2)
         n = 100_000
-        draws = np.vstack([simulator.sample_events(cfg, rng).positions for _ in range(n)])
+        draws = np.vstack([simulator.sample_events(cfg, rng) for _ in range(n)])
         # mean of U(0,1) per coordinate, 3 sigma band
         se = np.sqrt(1.0 / 12.0 / n)
         assert np.all(np.abs(draws.mean(axis=0) - 0.5) < 3 * se)
@@ -56,27 +57,29 @@ class TestActivationProbability:
 class TestActivity:
     def test_no_events_no_activity(self):
         cfg, topo, *_ = small_system(E=0)
-        act = simulator.sample_activity(topo, simulator.EventSet(np.empty((0, 2))), cfg,
-                                        np.random.default_rng(3))
-        assert act.alpha.sum() == 0
+        act = simulator.sample_activity(topo, np.empty((0, 2)), cfg, np.random.default_rng(3))
+        assert act.shape == (cfg.K,) and act.dtype == np.int64
+        assert act.sum() == 0
 
     def test_event_on_user_always_fires(self):
         cfg, topo, *_ = small_system(E=1)
-        ev = simulator.EventSet(topo.user_positions[[5]])
+        ev = topo.user_positions[[5]]
         for seed in range(20):
             act = simulator.sample_activity(topo, ev, cfg, np.random.default_rng(seed))
-            assert act.alpha[5] == 1
+            assert act[5] == 1
 
     def test_marginals_match_union_rule(self):
         cfg, topo, *_ = small_system(E=2)
-        ev = simulator.EventSet(np.array([[0.3, 0.4], [0.6, 0.7]]))
-        probs = simulator.activation_probabilities(topo, ev, cfg.sigma_e2)
+        ev = np.array([[0.3, 0.4], [0.6, 0.7]])
+        probs = simulator.activation_probability(
+            topo.user_positions[:, None, :], ev[None, :, :], cfg.sigma_e2
+        )
         target = 1.0 - np.prod(1.0 - probs, axis=1)
         rng = np.random.default_rng(4)
         n = 20_000
         freq = np.zeros(cfg.K)
         for _ in range(n):
-            freq += simulator.sample_activity(topo, ev, cfg, rng).alpha
+            freq += simulator.sample_activity(topo, ev, cfg, rng)
         freq /= n
         se = np.sqrt(target * (1 - target) / n)
         check = se > 0
@@ -121,75 +124,87 @@ class TestChannels:
         assert 3.0 < ratio < 5.0
 
 
+class ZeroDraws:
+    """Generator stand-in whose every Gaussian draw is 0: no fading, no noise."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
 class TestReceivedSignal:
+    """The pilot-phase signal model, read through the energies y."""
+
     def test_silent_and_noiseless_is_zero(self):
         cfg, topo, fad, code, _ = small_system(sigma2=1.0)
         cfg0 = replace(cfg, sigma2=1e-300)
-        act = simulator.ActivityVector(np.zeros(cfg.K, dtype=np.int64))
-        users = np.arange(cfg.K)
-        g = simulator.sample_channels(fad, cfg0, np.random.default_rng(8), users)
-        Y = simulator.received_pilot_signal(code, act, g, users, fad, cfg0,
-                                            np.random.default_rng(9), t=1)
-        assert np.max(np.abs(Y)) < 1e-140
+        silent = np.zeros(cfg.K, dtype=np.int64)
+        y = simulator.monte_carlo_energy(code, silent, fad, cfg0, np.random.default_rng(8))
+        assert y.shape == (cfg.tau_p * cfg.T,)
+        assert np.max(np.abs(y)) < 1e-280
 
     def test_single_active_user_column(self):
         cfg, topo, fad, code, _ = small_system()
         cfg0 = replace(cfg, sigma2=1e-300)
         alpha = np.zeros(cfg.K, dtype=np.int64)
         alpha[7] = 1
-        act = simulator.ActivityVector(alpha)
-        users = np.arange(cfg.K)
-        g = simulator.sample_channels(fad, cfg0, np.random.default_rng(10), users)
-        t = 2
-        Y = simulator.received_pilot_signal(code, act, g, users, fad, cfg0,
-                                            np.random.default_rng(11), t=t)
-        j = code.hops[7, t - 1] - 1
-        expected = np.sqrt(cfg.tau_p * fad.powers[7]) * g[t - 1][:, 7]
-        assert np.allclose(Y[:, j], expected, atol=1e-140)
-        mask = np.ones(cfg.tau_p, dtype=bool)
-        mask[j] = False
-        assert np.max(np.abs(Y[:, mask])) < 1e-140
+        y = simulator.monte_carlo_energy(code, alpha, fad, cfg0, np.random.default_rng(10))
+        # channels are drawn first, so the same seed gives the same channel
+        g = simulator.sample_channels(fad, cfg0, np.random.default_rng(10), np.array([7]))
+        expected = np.zeros((cfg.T, cfg.tau_p))
+        for t in range(cfg.T):
+            energy = cfg.tau_p * fad.powers[7] * np.sum(np.abs(g[t][:, 0]) ** 2) / cfg.ml
+            expected[t, code[7, t] - 1] = energy
+        assert np.allclose(y, expected.ravel(), rtol=1e-12, atol=1e-250)
 
     def test_column_energy_expectation(self):
         cfg, topo, fad, code, _ = small_system()
         rng = np.random.default_rng(12)
         alpha = np.zeros(cfg.K, dtype=np.int64)
         alpha[[1, 4, 9]] = 1
-        act = simulator.ActivityVector(alpha)
         t, j = 1, 1
-        on_j = [k for k in (1, 4, 9) if code.hops[k, t - 1] - 1 == j]
+        on_j = [k for k in (1, 4, 9) if code[k, t - 1] - 1 == j]
         expected = cfg.ml * (
             sum(cfg.tau_p * fad.powers[k] * fad.beta[k] for k in on_j) + cfg.sigma2
         )
         n = 3000
         vals = np.empty(n)
-        users = np.array([1, 4, 9])
         for i in range(n):
-            g = simulator.sample_channels(fad, cfg, rng, users)
-            Y = simulator.received_pilot_signal(code, act, g, users, fad, cfg, rng, t=t)
-            vals[i] = np.sum(np.abs(Y[:, j]) ** 2)
+            y = simulator.monte_carlo_energy(code, alpha, fad, cfg, rng)
+            vals[i] = cfg.ml * (y[(t - 1) * cfg.tau_p + j] + cfg.sigma2)  # ||Y^t e_j||^2
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - expected) < 4 * se
 
 
 class TestEnergyMeasurement:
     def test_pure_noise_subtraction(self):
-        cfg, *_ = small_system(sigma2=1.0)
-        Y = np.zeros((cfg.ml, cfg.tau_p), dtype=complex)
-        e = simulator.energy_measurement(Y, cfg)
-        assert np.allclose(e, -1.0)
+        cfg, topo, fad, code, _ = small_system(sigma2=2.5)
+        alpha = np.zeros(cfg.K, dtype=np.int64)
+        alpha[[0, 5]] = 1
+        y = simulator.monte_carlo_energy(code, alpha, fad, cfg, ZeroDraws())
+        assert np.array_equal(y, np.full(cfg.tau_p * cfg.T, -2.5))
+
+    @pytest.mark.parametrize("users", [[], [3], [0, 5, 11], list(range(16))],
+                             ids=["silent", "one", "three", "all"])
+    def test_matches_interval_loop(self, users):
+        cfg, topo, fad, code, _ = small_system(sigma2=0.7)
+        alpha = np.zeros(cfg.K, dtype=np.int64)
+        alpha[users] = 1  # all 16 users share 3 pilots, so pilots collide
+        y = simulator.monte_carlo_energy(code, alpha, fad, cfg, np.random.default_rng(21),
+                                         noise_rng=np.random.default_rng(22))
+        ref = oracles.monte_carlo_energy_loop(code, alpha, fad, cfg, np.random.default_rng(21),
+                                              np.random.default_rng(22))
+        assert np.array_equal(y, ref)
 
     def test_monte_carlo_mean_converges_to_linear_model(self):
         cfg, topo, fad, code, a = small_system(M=16)
         alpha = np.zeros(cfg.K, dtype=np.int64)
         alpha[[0, 5, 11]] = 1
-        act = simulator.ActivityVector(alpha)
-        target = a.a @ alpha.astype(float)
+        target = a @ alpha.astype(float)
         rng = np.random.default_rng(17)
         n = 4000
         ys = np.empty((n, cfg.tau_p * cfg.T))
         for i in range(n):
-            ys[i] = simulator.monte_carlo_energy(code, act, fad, cfg, rng)
+            ys[i] = simulator.monte_carlo_energy(code, alpha, fad, cfg, rng)
         se = ys.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(ys.mean(axis=0) - target) < 4 * se + 1e-12)
 
@@ -197,14 +212,13 @@ class TestEnergyMeasurement:
         base = dict(K=16, grid_side=4, L=4, tau_p=3, T=4, sigma_e2=0.02, r=0.3)
         alpha = np.zeros(16, dtype=np.int64)
         alpha[[2, 7, 12]] = 1
-        act = simulator.ActivityVector(alpha)
         errs = []
         for M in (8, 32, 128):
             cfg, topo, fad, code, a = small_system(M=M, **{k: v for k, v in base.items() if k != "M"})
-            target = a.a @ alpha.astype(float)
+            target = a @ alpha.astype(float)
             rng = np.random.default_rng(18)
             rel = [
-                np.linalg.norm(simulator.monte_carlo_energy(code, act, fad, cfg, rng) - target)
+                np.linalg.norm(simulator.monte_carlo_energy(code, alpha, fad, cfg, rng) - target)
                 / np.linalg.norm(target)
                 for _ in range(60)
             ]

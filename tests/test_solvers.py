@@ -185,7 +185,7 @@ class TestXUpdate:
         cfg = sysmodel.SystemConfig()
         topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(0))
         reg = solvers.tv_spec(sysmodel.neighbor_sets(topo, cfg.r), 0.06)
-        A = a.a / a.a.max()
+        A = a / a.max()
         tracemalloc.start()
         try:
             ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
@@ -340,7 +340,7 @@ class TestReferenceLoop:
         cfg = sysmodel.SystemConfig(K=64, grid_side=8, M=8, tau_p=4, T=4, r=r)
         topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(3))
         rng = np.random.default_rng(4)
-        A = np.abs(rng.standard_normal(a.a.shape)) if dense_a else a.a / a.a.max()
+        A = np.abs(rng.standard_normal(a.shape)) if dense_a else a / a.max()
         alpha = np.zeros(cfg.K)
         alpha[[18, 19, 26, 27, 45]] = 1.0
         y = A @ alpha + 0.05 * rng.standard_normal(A.shape[0])

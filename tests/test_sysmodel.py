@@ -1,8 +1,11 @@
+import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import oracles
 from oracles import load_system
 from pilothop import sysmodel
 from pilothop.errors import ConfigurationError
@@ -27,6 +30,32 @@ class TestConfig:
     def test_rejects_infeasible_code_space(self):
         with pytest.raises(ConfigurationError):
             sysmodel.SystemConfig(K=9, grid_side=3, tau_p=2, T=3)  # 2**3 = 8 < 9
+
+    @pytest.mark.parametrize("tau_p, T", [(2, 3), (3, 2), (4, 3), (2, 6), (1, 5)])
+    def test_code_space_bound_is_exact(self, tau_p, T):
+        size = tau_p**T
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # tall matrices at these sizes
+            assert sysmodel.SystemConfig(K=size, grid_side=1, tau_p=tau_p, T=T, E=1).K == size
+            with pytest.raises(ConfigurationError, match="unique pilot-hopping"):
+                sysmodel.SystemConfig(K=size + 1, grid_side=1, tau_p=tau_p, T=T, E=1)
+
+    def test_single_pilot_allows_one_user(self):
+        with pytest.warns(UserWarning, match="tall"):
+            assert tiny_config(tau_p=1, T=1000).T == 1000
+        with pytest.raises(ConfigurationError, match="unique pilot-hopping"):
+            tiny_config(K=2, tau_p=1, T=1000)
+
+    def test_bounds_measurement_count(self):
+        with pytest.warns(UserWarning, match="tall"):
+            cfg = sysmodel.SystemConfig(tau_p=64, T=64)
+        assert cfg.tau_p * cfg.T == sysmodel.MAX_MEASUREMENTS
+        with pytest.raises(ConfigurationError, match="tau_p\\*T must be <= 4096"):
+            sysmodel.SystemConfig(tau_p=64, T=65)
+        start = time.perf_counter()
+        with pytest.raises(ConfigurationError, match="tau_p\\*T"):
+            sysmodel.SystemConfig(tau_p=10, T=10**6)
+        assert time.perf_counter() - start < 0.1
 
     def test_warns_on_tall_matrix(self):
         with pytest.warns(UserWarning):
@@ -159,19 +188,20 @@ class TestPilotHopCode:
     def test_single_sequence_case(self):
         cfg = tiny_config(tau_p=1, T=3)
         code = sysmodel.generate_code(cfg, np.random.default_rng(0))
-        assert np.array_equal(code.hops, [[1, 1, 1]])
+        assert code.dtype == np.int64
+        assert np.array_equal(code, [[1, 1, 1]])
 
     def test_paper_scale_rows_distinct(self, paper_system):
         cfg, _, _, code, _ = paper_system
-        assert code.hops.shape == (1296, 10)
-        assert code.hops.min() >= 1 and code.hops.max() <= 10
-        assert len({row.tobytes() for row in code.hops}) == 1296
+        assert code.shape == (1296, 10)
+        assert code.min() >= 1 and code.max() <= 10
+        assert len({row.tobytes() for row in code}) == 1296
 
     def test_distinct_for_many_seeds(self):
         cfg = tiny_config(K=4, grid_side=2, tau_p=2, T=3)
         for seed in range(50):
             code = sysmodel.generate_code(cfg, np.random.default_rng(seed))
-            assert len({row.tobytes() for row in code.hops}) == 4
+            assert len({row.tobytes() for row in code}) == 4
 
     def test_per_slot_occupancy_uniform(self):
         # chi-square against uniform 1/tau_p per pilot over many draws
@@ -181,8 +211,8 @@ class TestPilotHopCode:
         n_draws = 0
         for _ in range(200):
             code = sysmodel.generate_code(cfg, rng)
-            counts += np.bincount(code.hops.ravel() - 1, minlength=cfg.tau_p)
-            n_draws += code.hops.size
+            counts += np.bincount(code.ravel() - 1, minlength=cfg.tau_p)
+            n_draws += code.size
         expected = n_draws / cfg.tau_p
         chi2 = np.sum((counts - expected) ** 2 / expected)
         # 3 dof, p=1e-4 cutoff ~ 21
@@ -192,33 +222,37 @@ class TestPilotHopCode:
 class TestMeasurementMatrix:
     def test_unit_scalar_case(self):
         cfg = tiny_config(K=1, tau_p=1, T=1)
-        code = sysmodel.PilotHopCode(np.array([[1]]))
         fad = sysmodel.FadingProfile(
             np.full((1, 4), 1.0), np.array([1.0]), 1.0, 1.0, np.array([1.0])
         )
-        a = sysmodel.build_measurement_matrix(code, fad, cfg)
-        assert np.array_equal(a.a, [[1.0]])
+        a = sysmodel.build_measurement_matrix(np.array([[1]]), fad, cfg)
+        assert np.array_equal(a, [[1.0]])
 
     def test_two_user_layout(self):
         cfg = sysmodel.SystemConfig(K=2, grid_side=1, L=4, M=2, tau_p=2, T=2, E=1)
-        code = sysmodel.PilotHopCode(np.array([[1, 2], [2, 2]]))
+        code = np.array([[1, 2], [2, 2]])
         c = 0.5
         fad = sysmodel.FadingProfile(
             np.full((2, 4), c / 2.0), np.full(2, c / 2.0), c / 2.0, 1.0, np.full(2, 1.0)
         )
         a = sysmodel.build_measurement_matrix(code, fad, cfg)
         expected = np.array([[c, 0.0], [0.0, c], [0.0, 0.0], [c, c]])
-        assert np.allclose(a.a, expected)
+        assert np.allclose(a, expected)
 
     def test_paper_scale_structure(self, paper_system):
         cfg, _, fad, _, a = paper_system
-        assert a.a.shape == (100, 1296)
-        assert np.all((a.a != 0).sum(axis=0) == cfg.T)
-        norms = np.linalg.norm(a.a, axis=0)
+        assert a.shape == (100, 1296)
+        assert np.all((a != 0).sum(axis=0) == cfg.T)
+        norms = np.linalg.norm(a, axis=0)
         target = np.sqrt(cfg.T) * cfg.tau_p * cfg.p * fad.beta_min
         assert np.allclose(norms, target, rtol=1e-12)
         # column-norm equality to machine precision
         assert np.ptp(norms) / norms.mean() < 1e-12
+
+
+    def test_matches_column_loop(self, paper_system):
+        cfg, _, fad, code, a = paper_system
+        assert np.array_equal(a, oracles.measurement_matrix_loop(code, fad, cfg))
 
 
 class TestSerialization:
@@ -233,5 +267,5 @@ class TestSerialization:
         assert np.array_equal(topo2.user_positions, topo.user_positions)
         assert np.array_equal(topo2.distances, topo.distances)
         assert np.array_equal(fad2.powers, fad.powers)
-        assert np.array_equal(code2.hops, code.hops)
-        assert np.array_equal(a2.a, a.a)
+        assert np.array_equal(code2, code)
+        assert np.array_equal(a2, a)
