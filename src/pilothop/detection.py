@@ -2,6 +2,14 @@
 
 Thresholding (strict >), miss/false-alarm probabilities, ROC sweeps,
 K-means event localization with optimal event pairing, and RMSD.
+
+K-means batches its restarts: all of them are seeded by k-means++ first,
+one after the other in the order the stream has always drawn them, and
+Lloyd then updates every restart at once on a (restarts, points,
+clusters) distance array, dropping each restart from the batch on the
+step it converges. Lloyd draws nothing, so the centroids are bit for bit
+those of running the restarts one at a time (``tests/oracles.py`` keeps
+that loop as the reference).
 """
 from __future__ import annotations
 
@@ -67,43 +75,6 @@ def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
     return sweep
 
 
-def _kmeans_pp_init(points, n_clusters, rng):
-    n = points.shape[0]
-    centroids = np.empty((n_clusters, 2))
-    centroids[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centroids[0]) ** 2, axis=1)
-    for j in range(1, n_clusters):
-        total = d2.sum()
-        if total <= 0:
-            centroids[j:] = centroids[0]
-            break
-        centroids[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
-    return centroids
-
-
-def _kmeans_once(points, n_clusters, rng, max_iter, tol):
-    centroids = _kmeans_pp_init(points, n_clusters, rng)
-    for _ in range(max_iter):
-        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-        labels = np.argmin(d2, axis=1)
-        new_centroids = centroids.copy()
-        for j in range(n_clusters):
-            mask = labels == j
-            if np.any(mask):
-                new_centroids[j] = points[mask].mean(axis=0)
-            else:
-                # deterministic: re-seed an empty cluster at the worst-fit point
-                new_centroids[j] = points[np.argmax(np.min(d2, axis=1))]
-        shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
-        centroids = new_centroids
-        if shift < tol:
-            break
-    d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    wcss = float(np.min(d2, axis=1).sum())
-    return centroids, wcss
-
-
 def kmeans_cluster(
     points: np.ndarray,
     n_clusters: int,
@@ -114,6 +85,9 @@ def kmeans_cluster(
 ) -> np.ndarray:
     """K-means centroids with k-means++ init and restarts (best WCSS kept).
 
+    The restarts run as one batch (see the module docstring); a restart
+    stops on the Lloyd step whose centroids move less than ``tol``.
+
     Degenerate inputs follow the localization convention: with no points
     every centroid sits at the plane center, and with fewer points than
     clusters the points themselves are centroids and the surplus sits at
@@ -121,19 +95,61 @@ def kmeans_cluster(
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = points.shape[0]
     if n == 0:
         return np.tile(PLANE_CENTER, (n_clusters, 1))
     if n < n_clusters:
         return np.vstack([points, np.tile(PLANE_CENTER, (n_clusters - n, 1))])
-    best = None
-    best_wcss = np.inf
-    for _ in range(n_restarts):
-        centroids, wcss = _kmeans_once(points, n_clusters, rng, max_iter, tol)
-        if wcss < best_wcss:
-            best, best_wcss = centroids, wcss
-    return best
+    coords = points.T.copy()
+    px, py = coords
+
+    centroids = np.empty((n_restarts, n_clusters, 2))
+    for c in centroids:
+        c[0] = points[rng.integers(n)]
+        d2 = (px - c[0, 0]) ** 2 + (py - c[0, 1]) ** 2
+        for j in range(1, n_clusters):
+            total = d2.sum()
+            if total <= 0:
+                c[j:] = c[0]
+                break
+            # one draw of Generator.choice(n, p=d2 / total), without its checks
+            cdf = (d2 / total).cumsum()
+            cdf /= cdf[-1]
+            c[j] = points[cdf.searchsorted(rng.random(), side="right")]
+            d2 = np.minimum(d2, (px - c[j, 0]) ** 2 + (py - c[j, 1]) ** 2)
+
+    def sq_dists(c):  # (restarts, n, n_clusters)
+        return ((px[:, None] - c[:, None, :, 0]) ** 2
+                + (py[:, None] - c[:, None, :, 1]) ** 2)
+
+    # bincount weights: each coordinate repeated once per restart
+    tiled = np.tile(coords, n_restarts)
+    offsets = n_clusters * np.arange(n_restarts)[:, None]
+    active = np.arange(n_restarts)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        c = centroids[active]
+        d2 = sq_dists(c)
+        n_bins = active.size * n_clusters
+        # per-cluster means; bincount adds in point order, as a mean over the cluster does
+        bins = (d2.argmin(axis=2) + offsets[:active.size]).ravel()
+        counts = np.bincount(bins, minlength=n_bins).reshape(-1, n_clusters, 1)
+        sums = [np.bincount(bins, w[:bins.size], n_bins) for w in tiled]
+        new = np.stack(sums, axis=-1).reshape(c.shape) / np.maximum(counts, 1)
+        empty = counts[..., 0] == 0
+        if empty.any():
+            # deterministic: re-seed an empty cluster at its restart's worst-fit point
+            worst = points[d2.min(axis=2).argmax(axis=1)]
+            new[empty] = np.broadcast_to(worst[:, None], new.shape)[empty]
+        shift = np.linalg.norm(new - c, axis=2).max(axis=1)
+        centroids[active] = new
+        active = active[shift >= tol]
+    wcss = sq_dists(centroids).min(axis=2).sum(axis=1)
+    return centroids[np.argmin(wcss)]
 
 
 def _min_cost_assignment(cost: np.ndarray) -> list:

@@ -23,6 +23,7 @@ import datetime
 import math
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -429,7 +430,9 @@ def aggregate(config: ExperimentConfig, results: list[TrialResult]):
     n_trials = len(results)
     roc_rows = []
     rmsd_rows = []
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        # a column with no defined entry (no trial had an active user) averages to NaN
+        warnings.filterwarnings("ignore", "Mean of empty slice", RuntimeWarning)
         p_m_mean = np.nanmean(p_m, axis=0)
         p_fa_mean = np.nanmean(p_fa, axis=0)
     rmsd_mean = rmsd.mean(axis=0)

@@ -59,8 +59,14 @@ def dumps(obj, indent=None):
 
 
 def dump(obj, path, indent=2):
+    """Write ``dumps(obj)`` and a newline to ``path``.
+
+    Serializes before opening, so a value ``dumps`` refuses leaves an
+    existing file as it was and creates no new one.
+    """
+    text = dumps(obj, indent=indent)
     with open(path, "w", newline="\n") as f:
-        f.write(dumps(obj, indent=indent))
+        f.write(text)
         f.write("\n")
 
 

@@ -1,7 +1,7 @@
 """Reference values and solvers for the tests, independent of the production paths."""
 import numpy as np
 
-from pilothop import serialize, simulator, solvers, sysmodel
+from pilothop import detection, serialize, simulator, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -27,6 +27,50 @@ def measurement_matrix_loop(hops, fading, config):
     for k in range(K):
         a[rows + hops[k] - 1, k] = config.tau_p * fading.powers[k] * fading.beta[k]
     return a
+
+
+def kmeans_cluster_loop(points, n_clusters, rng, n_restarts=10, max_iter=300, tol=1e-9):
+    """Restart-by-restart reference of detection.kmeans_cluster: k-means++
+    seeding through ``rng.choice``, then Lloyd with a loop over clusters, one
+    restart after the other; the same draws in the same order."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    n = points.shape[0]
+    if n == 0:
+        return np.tile(detection.PLANE_CENTER, (n_clusters, 1))
+    if n < n_clusters:
+        return np.vstack([points, np.tile(detection.PLANE_CENTER, (n_clusters - n, 1))])
+    best = None
+    best_wcss = np.inf
+    for _ in range(n_restarts):
+        centroids = np.empty((n_clusters, 2))
+        centroids[0] = points[rng.integers(n)]
+        d2 = np.sum((points - centroids[0]) ** 2, axis=1)
+        for j in range(1, n_clusters):
+            total = d2.sum()
+            if total <= 0:
+                centroids[j:] = centroids[0]
+                break
+            centroids[j] = points[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((points - centroids[j]) ** 2, axis=1))
+        for _ in range(max_iter):
+            d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+            labels = np.argmin(d2, axis=1)
+            new_centroids = centroids.copy()
+            for j in range(n_clusters):
+                mask = labels == j
+                if np.any(mask):
+                    new_centroids[j] = points[mask].mean(axis=0)
+                else:
+                    new_centroids[j] = points[np.argmax(np.min(d2, axis=1))]
+            shift = float(np.max(np.linalg.norm(new_centroids - centroids, axis=1)))
+            centroids = new_centroids
+            if shift < tol:
+                break
+        d2 = np.sum((points[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+        wcss = float(np.min(d2, axis=1).sum())
+        if wcss < best_wcss:
+            best, best_wcss = centroids, wcss
+    return best
 
 
 def monte_carlo_energy_loop(code, activity, fading, config, rng, noise_rng):

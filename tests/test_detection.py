@@ -1,9 +1,11 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
-from pilothop import detection
+import oracles
+from pilothop import detection, harness
 
 
 class TestThresholdDetect:
@@ -91,6 +93,88 @@ class TestKmeans:
         pts = np.tile([0.3, 0.7], (10, 1))
         c = detection.kmeans_cluster(pts, 2, np.random.default_rng(7))
         assert np.allclose(c, [0.3, 0.7])
+
+    @pytest.mark.parametrize("kw", [{"n_clusters": 0}, {"n_restarts": 0}, {"n_restarts": -1}])
+    def test_rejects_fewer_than_one(self, kw):
+        args = {"n_clusters": 2, **kw}
+        with pytest.raises(ValueError, match=">= 1"):
+            detection.kmeans_cluster(np.random.default_rng(8).random((5, 2)),
+                                     rng=np.random.default_rng(9), **args)
+
+
+def assert_matches_loop(points, n_clusters, rng, **kw):
+    """Batched restarts give the loop's centroids and leave the stream where it does."""
+    batched_rng, loop_rng = copy.deepcopy(rng), copy.deepcopy(rng)
+    batched = detection.kmeans_cluster(points, n_clusters, batched_rng, **kw)
+    loop = oracles.kmeans_cluster_loop(points, n_clusters, loop_rng, **kw)
+    assert np.array_equal(batched, loop), (points, n_clusters)
+    assert batched_rng.random() == loop_rng.random()
+
+
+def stream_with_zero_uniform():
+    """A PCG64 stream whose second 64-bit output is 0, so an integers(n) draw
+    is followed by a uniform draw of exactly 0.0."""
+    multiplier = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit LCG multiplier
+    inverse = pow(multiplier, -1, 2**128)
+    inc = np.random.PCG64(0).state["state"]["inc"]
+    state = (1 << 64) | 1  # XSL-RR output is a rotation of hi ^ lo = 0
+    for _ in range(2):  # PCG64 steps its state, then outputs
+        state = (state - inc) * inverse % 2**128
+    rng = np.random.default_rng()
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+class TestKmeansMatchesLoop:
+    def test_uniform_draw_on_a_cdf_step(self):
+        # the draw 0.0 equals cdf[0] when point 0 is the first centre: k-means++
+        # must skip it, as Generator.choice does, and pick the next point
+        rng = stream_with_zero_uniform()
+        first = copy.deepcopy(rng).integers(6)
+        points = np.random.default_rng(31).random((6, 2))
+        points[0] = points[first]
+        assert_matches_loop(points, 2, rng, n_restarts=1, max_iter=0)
+
+    def test_campaign_masks(self, monkeypatch):
+        # every (trial, method, threshold) localization of two quick-scale trials
+        config = harness.quick_preset(harness.ExperimentConfig(n_trials=2, master_seed=1))
+        ctx = harness.build_context(config)
+        kmeans = detection.kmeans_cluster
+        calls = []
+
+        def recorded(points, n_clusters, rng, **kw):
+            calls.append((np.array(points), n_clusters, copy.deepcopy(rng)))
+            return kmeans(points, n_clusters, rng, **kw)
+
+        monkeypatch.setattr(detection, "kmeans_cluster", recorded)
+        for trial in range(2):
+            harness.run_trial(ctx, trial)
+        monkeypatch.undo()
+        assert len(calls) == 2 * len(config.methods) * len(config.thresholds)
+        assert max(len(points) for points, _, _ in calls) > 3 * config.system.E
+        for points, n_clusters, rng in calls:
+            assert_matches_loop(points, n_clusters, rng)
+
+    def test_random_inputs(self):
+        gen = np.random.default_rng(30)
+        for case in range(200):
+            n_clusters = int(gen.integers(1, 6))
+            n = int(gen.integers(n_clusters, 40))
+            points = gen.random((n, 2))
+            kind = case % 6
+            if kind == 1:  # rounded coordinates: tied distances
+                points = np.round(points * 3) / 3
+            elif kind == 2:  # duplicate points
+                points[: n // 2] = points[0]
+            elif kind == 3:  # fewer distinct points than clusters: empty-cluster re-seeds
+                points = points[gen.integers(0, max(n_clusters - 1, 1), n)]
+            elif kind == 4:
+                points = points[:n_clusters]
+            elif kind == 5:
+                points = np.round(points, 1)
+            assert_matches_loop(points, n_clusters, np.random.default_rng(case))
 
 
 class TestMatchEvents:

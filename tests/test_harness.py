@@ -194,6 +194,17 @@ class TestOutputs:
         with pytest.raises(ValueError, match="non-finite"):
             serialize.dumps({"x": value})
 
+    def test_dump_refusal_leaves_no_artifact(self, tmp_path):
+        existing = tmp_path / "existing.json"
+        serialize.dump({"x": 1.0}, existing)
+        before = existing.read_bytes()
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dump({"x": float("nan")}, existing)
+        assert existing.read_bytes() == before
+        with pytest.raises(ValueError, match="non-finite"):
+            serialize.dump({"x": float("nan")}, tmp_path / "new.json")
+        assert not (tmp_path / "new.json").exists()
+
     def test_sweep_covers_lambda_grid(self, tmp_path):
         config = tiny_experiment(n_trials=1, lambdas=(0.0, 0.06))
         roc_rows, _ = harness.run_experiment(harness.sweep_lambda_config(config))
@@ -481,6 +492,20 @@ class TestCli:
         assert cli.main(["roc", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
         assert serialize.load(out / "manifest.json")["unconverged_solves"] == [0, 0, 0]
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.filterwarnings("error")
+    def test_campaign_without_active_users_is_silent(self, tmp_path, capsys):
+        # every p_m entry is undefined, so its mean is NaN without a warning
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "system": {"E": 0}}')
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--quick", "--trials", "2", "--config", str(path),
+                       "--out", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+        with open(out / "roc.csv", newline="") as f:
+            rows = list(csv.reader(f))[1:]
+        assert rows and all(row[4] == "nan" for row in rows)
 
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["roc", "--config", str(tmp_path / "nope.json")])
