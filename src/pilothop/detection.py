@@ -3,9 +3,11 @@
 Thresholding (strict >), miss/false-alarm probabilities, ROC sweeps,
 K-means event localization with optimal event pairing, and RMSD.
 
-K-means batches its restarts: all of them are seeded by k-means++ first,
-one after the other in the order the stream has always drawn them, and
-Lloyd then updates every restart at once on a (restarts, points,
+K-means batches its restarts. k-means++ (Arthur & Vassilvitskii, SODA
+2007) seeds them in lockstep: every restart's draws are taken up front in
+the order the stream has always given them, restart after restart, and
+then all restarts pick their next centre at once on (restarts, points)
+arrays. Lloyd then updates every restart at once on a (restarts, points,
 clusters) distance array, dropping each restart from the batch on the
 step it converges. Lloyd draws nothing, so the centroids are bit for bit
 those of running the restarts one at a time (``tests/oracles.py`` keeps
@@ -88,38 +90,45 @@ def kmeans_cluster(
     The restarts run as one batch (see the module docstring); a restart
     stops on the Lloyd step whose centroids move less than ``tol``.
 
-    Degenerate inputs follow the localization convention: with no points
-    every centroid sits at the plane center, and with fewer points than
-    clusters the points themselves are centroids and the surplus sits at
-    the center.
+    Degenerate inputs follow the localization convention: with fewer
+    distinct positions than clusters (none at all, say), those positions,
+    in order of first appearance, are centroids, the surplus sits at the
+    plane center, and nothing is drawn from ``rng``.
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be >= 1")
     if n_restarts < 1:
         raise ValueError("n_restarts must be >= 1")
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    points = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
     n = points.shape[0]
-    if n == 0:
-        return np.tile(PLANE_CENTER, (n_clusters, 1))
-    if n < n_clusters:
-        return np.vstack([points, np.tile(PLANE_CENTER, (n_clusters - n, 1))])
+    # a complex view compares both coordinates at once
+    _, first_seen = np.unique(points.view(complex).ravel(), return_index=True)
+    if first_seen.size < n_clusters:
+        surplus = np.tile(PLANE_CENTER, (n_clusters - first_seen.size, 1))
+        return np.vstack([points[np.sort(first_seen)], surplus])
     coords = points.T.copy()
     px, py = coords
 
+    # k-means++ in lockstep. With at least n_clusters distinct positions no
+    # restart runs out of positive distances, so each draws integers(n) and
+    # then one uniform per further centre; drawn up front in restart order,
+    # they leave the stream where drawing them one restart at a time does.
+    first = np.empty(n_restarts, dtype=np.int64)
+    u = np.empty((n_restarts, n_clusters - 1))
+    for r in range(n_restarts):
+        first[r] = rng.integers(n)
+        u[r] = rng.random(n_clusters - 1)
     centroids = np.empty((n_restarts, n_clusters, 2))
-    for c in centroids:
-        c[0] = points[rng.integers(n)]
-        d2 = (px - c[0, 0]) ** 2 + (py - c[0, 1]) ** 2
-        for j in range(1, n_clusters):
-            total = d2.sum()
-            if total <= 0:
-                c[j:] = c[0]
-                break
-            # one draw of Generator.choice(n, p=d2 / total), without its checks
-            cdf = (d2 / total).cumsum()
-            cdf /= cdf[-1]
-            c[j] = points[cdf.searchsorted(rng.random(), side="right")]
-            d2 = np.minimum(d2, (px - c[j, 0]) ** 2 + (py - c[j, 1]) ** 2)
+    centroids[:, 0] = points[first]
+    d2 = (px - centroids[:, :1, 0]) ** 2 + (py - centroids[:, :1, 1]) ** 2
+    for j in range(1, n_clusters):
+        # per restart, one draw of Generator.choice(n, p=d2 / total) without
+        # its checks; counting the cdf entries <= u is searchsorted(side="right")
+        cdf = (d2 / d2.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        c = centroids[:, j]
+        c[:] = points[(cdf <= u[:, j - 1, None]).sum(axis=1)]
+        np.minimum(d2, (px - c[:, :1]) ** 2 + (py - c[:, 1:]) ** 2, out=d2)
 
     def sq_dists(c):  # (restarts, n, n_clusters)
         return ((px[:, None] - c[:, None, :, 0]) ** 2

@@ -3,7 +3,10 @@
 Two production paths:
 
 * ``nnls_solve`` — accelerated projected gradient (FISTA with adaptive
-  restart) for min_{x>=0} ||Ax - y||^2.
+  restart; Beck & Teboulle, SIAM J. Imaging Sci. 2009) for
+  min_{x>=0} ||Ax - y||^2. An iteration is one product with A and one
+  with A^T, both kept as CSR when A is sparse (10 nonzeros per column
+  at paper scale), and the iterates are updated in place.
 * ``regularized_solve`` — ADMM operator splitting for
   min_{x>=0} ||Ax - y||^2 + lambda * sum_j ||B_j x||_2,
   where B_j either selects a (possibly overlapping) group of coordinates
@@ -135,13 +138,14 @@ def _check_problem(A: np.ndarray, y: np.ndarray):
     return A, y
 
 
-def _lipschitz(A: np.ndarray, iters: int = 20, tol: float = 1e-6) -> float:
-    """2*sigma_max(A)^2 via power iteration on A^T A (deterministic start)."""
+def _lipschitz(A, At, iters: int = 20, tol: float = 1e-6) -> float:
+    """2*sigma_max(A)^2 via power iteration on A^T A (deterministic start);
+    At is A^T, so either may be kept as CSR."""
     n = A.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
     for _ in range(iters):
-        w = A.T @ (A @ v)
+        w = At @ (A @ v)
         nrm = np.linalg.norm(w)
         if nrm == 0.0:
             return 0.0
@@ -288,37 +292,51 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
     """min_{x>=0} ||Ax - y||^2 by FISTA with orthant projection and restart.
 
     Convergence is certified by the projected-gradient KKT residual
-    relative to ||2 A^T y||.
+    relative to ||2 A^T y||. A and A^T are kept as CSR when sparse (A has
+    10 nonzeros per column at paper scale), so an iteration is one product
+    with each; the iterates live in buffers allocated once per solve.
     """
     A, y = _check_problem(A, y)
     options = options or SolverOptions()
     n = A.shape[1]
-    L = _lipschitz(A)
+    A = _csr_if_sparse(A)
+    At = A.T.tocsr() if sp.issparse(A) else A.T
+    L = _lipschitz(A, At)
     if L == 0.0:  # A == 0: any feasible point is optimal
         return SolverResult(np.zeros(n), 0, True)
-    step = 1.0 / L
-    scale = max(np.linalg.norm(2.0 * A.T @ y), options.abs_tol)
-    x = np.zeros(n)
-    z = x.copy()
+    step2 = 2.0 / L  # the step 1/L times the 2 of the gradient 2 A^T (A z - y)
+    scale = max(np.linalg.norm(2.0 * (At @ y)), options.abs_tol)
+    x, x_new, z, dx = (np.zeros(n) for _ in range(4))
     t_mom = 1.0
     converged = False
     it = 0
     for it in range(1, options.max_iters + 1):
-        grad_z = 2.0 * (A.T @ (A @ z - y))
-        x_new = np.maximum(0.0, z - step * grad_z)
-        # adaptive restart on momentum pointing uphill
-        if (z - x_new) @ (x_new - x) > 0.0:
+        r = A @ z
+        r -= y
+        grad = At @ r
+        grad *= step2
+        np.subtract(z, grad, out=x_new)
+        np.maximum(0.0, x_new, out=x_new)
+        np.subtract(x_new, x, out=dx)
+        z -= x_new
+        # adaptive restart on momentum pointing uphill: (z - x_new) . (x_new - x) > 0
+        if z @ dx > 0.0:
             t_mom = 1.0
-            z = x_new.copy()
+            np.copyto(z, x_new)
         else:
             t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
-            z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
+            dx *= (t_mom - 1.0) / t_new
+            np.add(x_new, dx, out=z)
             t_mom = t_new
-        x = x_new
+        x, x_new = x_new, x
         if it % CHECK_EVERY == 0 or it == options.max_iters:
-            g = 2.0 * (A.T @ (A @ x - y))
-            res = np.where(x > 0.0, g, np.minimum(g, 0.0))
-            if np.linalg.norm(res) <= options.rel_tol * scale:
+            r = A @ x
+            r -= y
+            g = At @ r
+            g *= 2.0
+            # projected gradient: at x = 0 only a negative component violates KKT
+            np.minimum(g, 0.0, out=g, where=x <= 0.0)
+            if np.linalg.norm(g) <= options.rel_tol * scale:
                 converged = True
                 break
     return SolverResult(x, it, converged)

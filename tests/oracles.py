@@ -32,13 +32,18 @@ def measurement_matrix_loop(hops, fading, config):
 def kmeans_cluster_loop(points, n_clusters, rng, n_restarts=10, max_iter=300, tol=1e-9):
     """Restart-by-restart reference of detection.kmeans_cluster: k-means++
     seeding through ``rng.choice``, then Lloyd with a loop over clusters, one
-    restart after the other; the same draws in the same order."""
+    restart after the other; the same draws in the same order. With fewer
+    distinct positions than clusters it draws nothing and returns them, in
+    order of first appearance, with the surplus at the plane center."""
     points = np.asarray(points, dtype=float).reshape(-1, 2)
     n = points.shape[0]
-    if n == 0:
-        return np.tile(detection.PLANE_CENTER, (n_clusters, 1))
-    if n < n_clusters:
-        return np.vstack([points, np.tile(detection.PLANE_CENTER, (n_clusters - n, 1))])
+    distinct = []
+    for p in points.tolist():
+        if p not in distinct:
+            distinct.append(p)
+    if len(distinct) < n_clusters:
+        surplus = [detection.PLANE_CENTER.tolist()] * (n_clusters - len(distinct))
+        return np.array(distinct + surplus).reshape(-1, 2)
     best = None
     best_wcss = np.inf
     for _ in range(n_restarts):
@@ -71,6 +76,64 @@ def kmeans_cluster_loop(points, n_clusters, rng, n_restarts=10, max_iter=300, to
         if wcss < best_wcss:
             best, best_wcss = centroids, wcss
     return best
+
+
+def lipschitz_dense(A, iters=20, tol=1e-6):
+    """2*sigma_max(A)^2 by power iteration on the dense A^T A."""
+    n = A.shape[1]
+    v = np.full(n, 1.0 / np.sqrt(n))
+    lam = 0.0
+    for _ in range(iters):
+        w = A.T @ (A @ v)
+        nrm = np.linalg.norm(w)
+        if nrm == 0.0:
+            return 0.0
+        v_new = w / nrm
+        lam_new = nrm
+        if abs(lam_new - lam) <= tol * lam_new:
+            lam = lam_new
+            break
+        v, lam = v_new, lam_new
+    return 2.0 * lam
+
+
+def nnls_fista_dense(A, y, options=None):
+    """Dense-product reference of solvers.nnls_solve: the same FISTA
+    iteration, restart rule and KKT stopping rule, with a fresh array for
+    every vector. Returns a solvers.SolverResult."""
+    A = np.asarray(A, dtype=float)
+    y = np.asarray(y, dtype=float)
+    options = options or solvers.SolverOptions()
+    n = A.shape[1]
+    L = lipschitz_dense(A)
+    if L == 0.0:
+        return solvers.SolverResult(np.zeros(n), 0, True)
+    step = 1.0 / L
+    scale = max(np.linalg.norm(2.0 * A.T @ y), options.abs_tol)
+    x = np.zeros(n)
+    z = x.copy()
+    t_mom = 1.0
+    converged = False
+    it = 0
+    for it in range(1, options.max_iters + 1):
+        grad_z = 2.0 * (A.T @ (A @ z - y))
+        x_new = np.maximum(0.0, z - step * grad_z)
+        # adaptive restart on momentum pointing uphill
+        if (z - x_new) @ (x_new - x) > 0.0:
+            t_mom = 1.0
+            z = x_new.copy()
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom * t_mom))
+            z = x_new + ((t_mom - 1.0) / t_new) * (x_new - x)
+            t_mom = t_new
+        x = x_new
+        if it % solvers.CHECK_EVERY == 0 or it == options.max_iters:
+            g = 2.0 * (A.T @ (A @ x - y))
+            res = np.where(x > 0.0, g, np.minimum(g, 0.0))
+            if np.linalg.norm(res) <= options.rel_tol * scale:
+                converged = True
+                break
+    return solvers.SolverResult(x, it, converged)
 
 
 def monte_carlo_energy_loop(code, activity, fading, config, rng, noise_rng):

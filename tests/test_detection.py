@@ -90,9 +90,20 @@ class TestKmeans:
         assert np.array_equal(c1, c2)
 
     def test_duplicate_points_collapse(self):
+        # one distinct position for two clusters: one centroid, the surplus at the center
         pts = np.tile([0.3, 0.7], (10, 1))
         c = detection.kmeans_cluster(pts, 2, np.random.default_rng(7))
-        assert np.allclose(c, [0.3, 0.7])
+        assert np.array_equal(c, [[0.3, 0.7], [0.5, 0.5]])
+
+    def test_fewer_distinct_positions_than_clusters(self):
+        # D = 2 < E = 4 <= n = 5: the positions in first-appearance order,
+        # the surplus at the center, and no draw from the stream
+        pts = np.array([[0.9, 0.1], [0.2, 0.4], [0.9, 0.1], [0.2, 0.4], [0.2, 0.4]])
+        rng = np.random.default_rng(14)
+        state = copy.deepcopy(rng.bit_generator.state)
+        c = detection.kmeans_cluster(pts, 4, rng)
+        assert np.array_equal(c, [[0.9, 0.1], [0.2, 0.4], [0.5, 0.5], [0.5, 0.5]])
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("kw", [{"n_clusters": 0}, {"n_restarts": 0}, {"n_restarts": -1}])
     def test_rejects_fewer_than_one(self, kw):
@@ -137,6 +148,19 @@ class TestKmeansMatchesLoop:
         points[0] = points[first]
         assert_matches_loop(points, 2, rng, n_restarts=1, max_iter=0)
 
+    def test_empty_cluster_reseed(self):
+        # D = 6 >= E = 3; this stream seeds at 0.39, 0.4 and 0.82, and the
+        # second Lloyd step empties the cluster around 0.5, which is re-seeded
+        # at the worst-fit point 0.82
+        x = np.array([3.9, 4.0, 6.0, 6.2, 6.2, 6.2, 6.2, 8.2]) / 10
+        points = np.column_stack([x, np.zeros_like(x)])
+        c = detection.kmeans_cluster(points, 3, np.random.default_rng(11588),
+                                     n_restarts=1, max_iter=2)
+        assert np.sort(c[:, 0]) == pytest.approx([0.395, 0.65, 0.82], abs=1e-15)
+        for max_iter in (2, 300):
+            assert_matches_loop(points, 3, np.random.default_rng(11588),
+                                n_restarts=1, max_iter=max_iter)
+
     def test_campaign_masks(self, monkeypatch):
         # every (trial, method, threshold) localization of two quick-scale trials
         config = harness.quick_preset(harness.ExperimentConfig(n_trials=2, master_seed=1))
@@ -168,7 +192,7 @@ class TestKmeansMatchesLoop:
                 points = np.round(points * 3) / 3
             elif kind == 2:  # duplicate points
                 points[: n // 2] = points[0]
-            elif kind == 3:  # fewer distinct points than clusters: empty-cluster re-seeds
+            elif kind == 3:  # fewer distinct points than clusters: no draw
                 points = points[gen.integers(0, max(n_clusters - 1, 1), n)]
             elif kind == 4:
                 points = points[:n_clusters]

@@ -1,4 +1,4 @@
-"""Test-only code stays out of src/.
+"""Test-only code stays out of src/, and test-only imports out of a run.
 
 Every module-level function and class of the package must be referenced,
 as a name or an attribute, by the package or by the benchmark somewhere
@@ -6,6 +6,9 @@ other than its own definition. Code that only tests use belongs in
 tests/ (see tests/oracles.py).
 """
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -37,3 +40,20 @@ def test_every_package_definition_has_a_production_reader():
                 if total[node.name] - references(node)[node.name] == 0:
                     unread.append(f"{path.name}:{node.lineno} {node.name}")
     assert not unread, f"defined in src/ but read only by tests: {unread}"
+
+
+def test_campaign_does_not_import_scipy_optimize(tmp_path):
+    # scipy.optimize adds about 19 MB of resident memory to a run; the tests
+    # import it as an oracle, so the campaign runs in a fresh interpreter
+    code = (
+        "import sys\n"
+        "from pilothop import cli\n"
+        f"rc = cli.main(['roc', '--quick', '--trials', '1', '--out', {str(tmp_path)!r}])\n"
+        "print(rc, 'scipy.optimize' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout

@@ -6,7 +6,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 
-from oracles import objective_value, regularizer_value, subgradient_oracle
+from oracles import nnls_fista_dense, objective_value, regularizer_value, subgradient_oracle
 from pilothop import harness, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
@@ -409,6 +409,49 @@ class TestNnls:
         A, y, _ = random_instance(rng)
         res = solvers.nnls_solve(A, y, TIGHT)
         assert solvers.kkt_residual(A, y, None, res.alpha_hat) < 1e-6
+
+
+def assert_matches_dense(A, y, options, atol=1e-9):
+    res = solvers.nnls_solve(A, y, options)
+    ref = nnls_fista_dense(A, y, options)
+    assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+    assert np.abs(res.alpha_hat - ref.alpha_hat).max() <= atol
+    return res, ref
+
+
+class TestNnlsMatchesDense:
+    """The CSR products of nnls_solve against the dense FISTA loop."""
+
+    def test_full_scale_trials(self):
+        # the solves of roc --config perfbench/configs/full_nnls.json --trials 3 --seed 1000
+        config = harness.ExperimentConfig(
+            methods=(harness.MethodSpec("nnls"),), n_trials=3, master_seed=1000)
+        ctx = harness.build_context(config)
+        assert sp.issparse(solvers._csr_if_sparse(ctx.a_norm))
+        for trial in range(3):
+            _, _, y = harness.simulate_trial(ctx, trial)
+            res, _ = assert_matches_dense(ctx.a_norm, y, config.solver_options())
+            assert res.converged and res.iterations > 100
+
+    def test_random_sparse(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            A = sp.random(30, 200, density=0.05, random_state=rng).toarray()
+            x = np.zeros(200)
+            x[rng.choice(200, 10, replace=False)] = rng.uniform(0.5, 1.5, 10)
+            y = A @ x + 0.01 * rng.standard_normal(30)
+            assert sp.issparse(solvers._csr_if_sparse(A))
+            assert_matches_dense(A, y, TIGHT)
+
+    def test_dense_keeps_dense_products(self):
+        # more than a quarter of the entries nonzero: the same dense products
+        # as the loop, so the same bits
+        rng = np.random.default_rng(41)
+        A, y, _ = random_instance(rng, m=20, n=40, k=5)
+        A[A < 0.5] = 0.0
+        assert np.count_nonzero(A) > A.size // 4
+        res, _ = assert_matches_dense(A, y, TIGHT, atol=0.0)
+        assert res.converged
 
 
 class TestRegularizedSolve:
