@@ -93,9 +93,9 @@ def cmd_detect(args):
     rows = []
     for mi, method in enumerate(config.methods):
         result = harness.solve_method(ctx, mi, y_norm, workspaces)
-        sweep = detection.roc_sweep(result.alpha_hat, truth, config.thresholds)
-        for thr, (_, cm) in zip(config.thresholds, sweep):
-            rows.append((method.kind, method.lam, thr, cm.p_fa, cm.p_m, 1))
+        _, p_m, p_fa = detection.roc_sweep(result.alpha_hat, truth, config.thresholds)
+        rows += [(method.kind, method.lam, thr, fa, m, 1)
+                 for thr, fa, m in zip(config.thresholds, p_fa.tolist(), p_m.tolist())]
     out_dir = config.output_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "detect.csv")

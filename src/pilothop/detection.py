@@ -1,7 +1,11 @@
-"""Decisions and scores on top of the relaxed solver outputs.
+"""Decisions and scores on top of the relaxed solver outputs, on plain arrays.
 
-Thresholding (strict >), miss/false-alarm probabilities, ROC sweeps,
-K-means event localization with optimal event pairing, and RMSD.
+A threshold sweep is one broadcast comparison: ``roc_sweep`` gives the
+(n_thr, K) bool detection masks (strict >) and the (n_thr,) miss and
+false-alarm probabilities, NaN where the active or inactive set is
+empty. Localization clusters the positions under one mask with K-means,
+pairs the centroids to the true events optimally and returns the RMSD as
+a float.
 
 K-means batches its restarts. k-means++ (Arthur & Vassilvitskii, SODA
 2007) seeds them in lockstep: every restart's draws are taken up front in
@@ -15,54 +19,38 @@ that loop as the reference).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PLANE_CENTER = np.array([0.5, 0.5])
 
 
-@dataclass(frozen=True)
-class ConfusionMetrics:
-    p_m: float    # NaN when no active users
-    p_fa: float   # NaN when no inactive users
-    n_active: int
-    n_inactive: int
-    n_missed: int
-    n_false: int
-
-
-@dataclass(frozen=True)
-class EventEstimate:
-    centroids: np.ndarray  # (E, 2)
-    pairing: tuple         # pairing[i] = centroid index matched to true event i
-    rmsd: float
-
-
-def threshold_detect(alpha_hat: np.ndarray, threshold: float) -> np.ndarray:
-    """(K,) 0/1 mask by the strict rule: user k detected iff alpha_hat[k] > threshold."""
-    if not np.isfinite(threshold):
+def threshold_detect(alpha_hat: np.ndarray, threshold) -> np.ndarray:
+    """Bool detection masks by the strict rule: user k is detected iff
+    alpha_hat[k] > threshold. A scalar threshold gives a (K,) mask, a 1-D
+    array of thresholds one (K,) row per threshold."""
+    threshold = np.asarray(threshold, dtype=float)
+    if not np.all(np.isfinite(threshold)):
         raise ValueError("threshold must be finite")
-    return (np.asarray(alpha_hat) > threshold).astype(np.int64)
+    return np.asarray(alpha_hat) > threshold[..., None]
 
 
-def confusion_metrics(detected: np.ndarray, truth: np.ndarray) -> ConfusionMetrics:
-    detected = np.asarray(detected)
-    truth = np.asarray(truth)
-    if detected.shape != truth.shape:
-        raise ValueError(f"length mismatch: {detected.shape} vs {truth.shape}")
-    active = truth == 1
-    n_active = int(active.sum())
-    n_inactive = int(truth.size - n_active)
-    n_missed = int(np.sum(active & (detected == 0)))
-    n_false = int(np.sum(~active & (detected == 1)))
-    p_m = n_missed / n_active if n_active else float("nan")
-    p_fa = n_false / n_inactive if n_inactive else float("nan")
-    return ConfusionMetrics(p_m, p_fa, n_active, n_inactive, n_missed, n_false)
+def confusion_metrics(detected: np.ndarray, truth: np.ndarray):
+    """(p_m, p_fa) of bool masks against 0/1 truth, counted along the last
+    axis: p_m is NaN when truth has no active user, p_fa when it has no
+    inactive one."""
+    detected = np.asarray(detected, dtype=bool)
+    active = np.asarray(truth) == 1
+    if detected.shape[-1:] != active.shape:
+        raise ValueError(f"length mismatch: {detected.shape} vs {active.shape}")
+    n_active = np.count_nonzero(active)
+    n_missed = np.count_nonzero(active & ~detected, axis=-1)
+    n_false = np.count_nonzero(~active & detected, axis=-1)
+    with np.errstate(invalid="ignore"):  # 0/0: the rate of an empty set
+        return n_missed / n_active, n_false / (active.size - n_active)
 
 
-def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
-    """One (detection mask, ConfusionMetrics) pair per threshold, ascending.
+def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds):
+    """(masks, p_m, p_fa) at ascending thresholds: masks (n_thr, K), rates (n_thr,).
 
     The one threshold sweep: campaigns read the miss / false-alarm rates
     and localize each detection mask, ``detect`` writes the rates.
@@ -70,11 +58,8 @@ def roc_sweep(alpha_hat: np.ndarray, truth: np.ndarray, thresholds) -> list:
     thresholds = np.asarray(thresholds, dtype=float)
     if np.any(np.diff(thresholds) < 0):
         raise ValueError("thresholds must be sorted ascending")
-    sweep = []
-    for thr in thresholds:
-        mask = threshold_detect(alpha_hat, thr)
-        sweep.append((mask, confusion_metrics(mask, truth)))
-    return sweep
+    masks = threshold_detect(alpha_hat, thresholds)
+    return (masks, *confusion_metrics(masks, truth))
 
 
 def kmeans_cluster(
@@ -113,6 +98,10 @@ def kmeans_cluster(
     # restart runs out of positive distances, so each draws integers(n) and
     # then one uniform per further centre; drawn up front in restart order,
     # they leave the stream where drawing them one restart at a time does.
+    # Positions closer than about 1e-154 are the exception: their squared
+    # distances underflow to 0, and a restart whose distances sum to 0
+    # takes its first centre for every further centre, as the per-restart
+    # loop does when it stops drawing.
     first = np.empty(n_restarts, dtype=np.int64)
     u = np.empty((n_restarts, n_clusters - 1))
     for r in range(n_restarts):
@@ -124,10 +113,14 @@ def kmeans_cluster(
     for j in range(1, n_clusters):
         # per restart, one draw of Generator.choice(n, p=d2 / total) without
         # its checks; counting the cdf entries <= u is searchsorted(side="right")
-        cdf = (d2 / d2.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        total = d2.sum(axis=1, keepdims=True)
+        spent = total[:, 0] <= 0
+        cdf = (d2 / np.where(spent[:, None], 1.0, total)).cumsum(axis=1)
+        cdf[spent] = 1.0
         cdf /= cdf[:, -1:]
         c = centroids[:, j]
         c[:] = points[(cdf <= u[:, j - 1, None]).sum(axis=1)]
+        c[spent] = centroids[spent, 0]
         np.minimum(d2, (px - c[:, :1]) ** 2 + (py - c[:, 1:]) ** 2, out=d2)
 
     def sq_dists(c):  # (restarts, n, n_clusters)
@@ -211,10 +204,10 @@ def _min_cost_assignment(cost: np.ndarray) -> list:
     return perm
 
 
-def match_events(true_events: np.ndarray, centroids: np.ndarray) -> EventEstimate:
-    """Optimal bijective pairing of estimated to true events.
-
-    Minimizes (1/E) sum ||e_i - e_hat_{pi(i)}||^2 over permutations pi.
+def match_events(true_events: np.ndarray, centroids: np.ndarray) -> float:
+    """RMSD of the optimal bijective pairing of estimated to true events:
+    the square root of min over permutations pi of
+    (1/E) sum ||e_i - e_hat_{pi(i)}||^2.
     """
     true_events = np.asarray(true_events, dtype=float).reshape(-1, 2)
     centroids = np.asarray(centroids, dtype=float).reshape(-1, 2)
@@ -224,13 +217,10 @@ def match_events(true_events: np.ndarray, centroids: np.ndarray) -> EventEstimat
             f"event count mismatch: {n_events} true vs {centroids.shape[0]} estimated"
         )
     if n_events == 0:
-        return EventEstimate(centroids, (), 0.0)
+        return 0.0
     cost = np.sum((true_events[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     perm = _min_cost_assignment(cost)
-    best_cost = cost[np.arange(n_events), perm].sum()
-    return EventEstimate(
-        centroids, tuple(perm), float(np.sqrt(best_cost / n_events))
-    )
+    return float(np.sqrt(cost[np.arange(n_events), perm].sum() / n_events))
 
 
 def localize_events(
@@ -239,11 +229,12 @@ def localize_events(
     true_events: np.ndarray,
     rng: np.random.Generator,
     n_restarts: int = 10,
-) -> EventEstimate:
-    """Cluster detected users' positions and pair centroids to true events."""
+) -> float:
+    """RMSD of the K-means centroids of the detected users' positions,
+    paired to the true events; ``detected`` is a (K,) bool mask."""
     n_events = np.asarray(true_events).reshape(-1, 2).shape[0]
     if n_events == 0:
-        return EventEstimate(np.empty((0, 2)), (), 0.0)
-    pts = user_positions[np.asarray(detected) == 1]
+        return 0.0
+    pts = user_positions[np.asarray(detected, dtype=bool)]
     centroids = kmeans_cluster(pts, n_events, rng, n_restarts=n_restarts)
     return match_events(true_events, centroids)

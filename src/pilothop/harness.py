@@ -12,9 +12,10 @@ EVENTS=0, ACTIVITY=1, CHANNELS=2, NOISE=3 and, for K-means,
 threshold therefore never perturbs the realizations.
 
 Solvers operate on the normalized system A' = A/(tau_p*p*beta_min),
-y' = y/(tau_p*p*beta_min), whose nonzero entries are exactly 1, so the
-activity estimates, thresholds and regularization strengths live on the
-same O(1) scale regardless of the physical power and noise levels.
+y' = y/(tau_p*p*beta_min), whose nonzero entries are 1 to within
+rounding, so the activity estimates, thresholds and regularization
+strengths live on the same O(1) scale regardless of the physical power
+and noise levels.
 """
 from __future__ import annotations
 
@@ -254,7 +255,6 @@ class SystemContext:
 
 @dataclass
 class TrialResult:
-    trial_index: int
     # per method: arrays over thresholds
     p_m: np.ndarray        # (n_methods, n_thr), NaN when undefined
     p_fa: np.ndarray       # (n_methods, n_thr), NaN when undefined
@@ -371,25 +371,23 @@ def run_trial(
     p_m = np.empty(shape)
     p_fa = np.empty(shape)
     rmsd = np.full(shape, np.nan)
-    zero_detected = np.zeros(shape, dtype=bool)
+    zero_detected = np.empty(shape, dtype=bool)
     converged = np.zeros(shape[0], dtype=bool)
     for mi in range(shape[0]):
         result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
-        sweep = detection.roc_sweep(result.alpha_hat, activity, config.thresholds)
-        for ti, (mask, cm) in enumerate(sweep):
-            p_m[mi, ti] = cm.p_m
-            p_fa[mi, ti] = cm.p_fa
-            zero_detected[mi, ti] = not mask.any()
-            if localize:
-                est = detection.localize_events(
+        masks, p_m[mi], p_fa[mi] = detection.roc_sweep(
+            result.alpha_hat, activity, config.thresholds)
+        zero_detected[mi] = ~masks.any(axis=1)
+        if localize:
+            for ti, mask in enumerate(masks):
+                rmsd[mi, ti] = detection.localize_events(
                     ctx.topology.user_positions, mask, events,
                     stream(seed, trial_index, KMEANS, mi, ti),
                 )
-                rmsd[mi, ti] = est.rmsd
 
     dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
-    return TrialResult(trial_index, p_m, p_fa, rmsd, zero_detected, converged, dump)
+    return TrialResult(p_m, p_fa, rmsd, zero_detected, converged, dump)
 
 
 def _run_trial_in_worker(args):
@@ -410,8 +408,8 @@ def run_trials(
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(ctx,)
     ) as pool:
-        results = list(pool.map(_run_trial_in_worker, [(i, dump_trials) for i in indices]))
-    return sorted(results, key=lambda r: r.trial_index)
+        # map returns results in submission order, whatever order they finish in
+        return list(pool.map(_run_trial_in_worker, [(i, dump_trials) for i in indices]))
 
 
 def aggregate(config: ExperimentConfig, results: list[TrialResult]):

@@ -542,33 +542,23 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     # as inactive (ball-constrained); fixing a direction from noise would
     # inject an O(lambda) phantom subgradient
     active = norms > 1e-7 * max(1.0, float(np.abs(Bx).max(initial=0.0)))
-    radii_rows = np.zeros(B.shape[0])  # per-row ball radius of its group
+    group_of_row = np.repeat(np.arange(len(sizes)), sizes)
+    fixed_rows = active[group_of_row]
     fixed = np.zeros(B.shape[0])
-    for j in range(len(sizes)):
-        sl = slice(starts[j], starts[j + 1])
-        if sizes[j] == 0:
-            continue
-        if active[j]:
-            fixed[sl] = reg.lam * Bx[sl] / norms[j]
-        else:
-            radii_rows[sl] = reg.lam
+    fixed[fixed_rows] = reg.lam * Bx[fixed_rows] / norms[group_of_row[fixed_rows]]
     g_fixed = g0 + B.T @ fixed
 
-    free = radii_rows > 0.0
+    # the rows of the inactive groups, each group's v_j in the ball of radius lam
+    free = ~fixed_rows
     if not np.any(free):
         return np.linalg.norm(restricted(g_fixed))
 
     Bf = B[free]
-    # group membership over the free rows
-    free_idx = np.flatnonzero(free)
-    group_of_row = np.repeat(np.arange(len(sizes)), sizes)
-    free_groups = group_of_row[free_idx]
-    radii_free = radii_rows[free_idx]
     # projected gradient on h(v) = 0.5*||restricted(g_fixed + Bf^T v)||^2
     L = float(Bf.multiply(Bf).sum())  # Frobenius bound on sigma_max^2
     eta = 1.0 / max(L, 1e-12)
     v = np.zeros(Bf.shape[0])
-    uniq, inv = np.unique(free_groups, return_inverse=True)
+    uniq, inv = np.unique(group_of_row[free], return_inverse=True)
     for _ in range(inner_iters):
         s = g_fixed + Bf.T @ v
         grad = Bf @ restricted(s)
@@ -577,10 +567,9 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
         sq = np.zeros(len(uniq))
         np.add.at(sq, inv, v * v)
         gn = np.sqrt(sq)[inv]
-        rad = radii_free
-        over = gn > rad
+        over = gn > reg.lam
         if np.any(over):
-            v = np.where(over, v * (rad / np.maximum(gn, 1e-300)), v)
+            v = np.where(over, v * (reg.lam / np.maximum(gn, 1e-300)), v)
     return np.linalg.norm(restricted(g_fixed + Bf.T @ v))
 
 

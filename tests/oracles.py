@@ -78,6 +78,27 @@ def kmeans_cluster_loop(points, n_clusters, rng, n_restarts=10, max_iter=300, to
     return best
 
 
+def roc_sweep_loop(alpha_hat, truth, thresholds):
+    """Threshold-by-threshold reference of detection.roc_sweep: per threshold
+    a 0/1 mask by the strict rule, its miss and false-alarm counts, and each
+    rate as a Python division of two counts, NaN for an empty set.
+    Returns (masks as bool (n_thr, K), p_m, p_fa)."""
+    alpha_hat = np.asarray(alpha_hat)
+    truth = np.asarray(truth)
+    active = truth == 1
+    n_active = int(active.sum())
+    n_inactive = int(truth.size - n_active)
+    masks, p_m, p_fa = [], [], []
+    for thr in np.asarray(thresholds, dtype=float):
+        mask = (alpha_hat > thr).astype(np.int64)
+        n_missed = int(np.sum(active & (mask == 0)))
+        n_false = int(np.sum(~active & (mask == 1)))
+        masks.append(mask == 1)
+        p_m.append(n_missed / n_active if n_active else float("nan"))
+        p_fa.append(n_false / n_inactive if n_inactive else float("nan"))
+    return np.array(masks).reshape(len(masks), truth.size), np.array(p_m), np.array(p_fa)
+
+
 def lipschitz_dense(A, iters=20, tol=1e-6):
     """2*sigma_max(A)^2 by power iteration on the dense A^T A."""
     n = A.shape[1]

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -11,38 +12,53 @@ from pilothop import detection, harness
 class TestThresholdDetect:
     def test_strict_inequality(self):
         mask = detection.threshold_detect(np.array([0.0, 0.5, 0.5001, 1.0]), 0.5)
-        assert np.array_equal(mask, [0, 0, 1, 1]) and mask.dtype == np.int64
+        assert np.array_equal(mask, [False, False, True, True]) and mask.dtype == bool
 
     def test_negative_threshold_detects_zeros(self):
         mask = detection.threshold_detect(np.zeros(3), -1.0)
-        assert np.array_equal(mask, [1, 1, 1])
+        assert np.array_equal(mask, [True, True, True])
 
     def test_rejects_nan_threshold(self):
         with pytest.raises(ValueError):
             detection.threshold_detect(np.zeros(2), float("nan"))
+        with pytest.raises(ValueError):
+            detection.threshold_detect(np.zeros(2), [0.1, float("inf")])
+
+    def test_one_row_per_threshold(self):
+        alpha_hat = np.array([0.0, 0.5, 0.5001, 1.0])
+        masks = detection.threshold_detect(alpha_hat, [0.5, -1.0, 1.0])
+        assert masks.shape == (3, 4) and masks.dtype == bool
+        assert np.array_equal(masks, [[0, 0, 1, 1], [1, 1, 1, 1], [0, 0, 0, 0]])
 
 
 class TestConfusionMetrics:
     def test_perfect_detection(self):
-        cm = detection.confusion_metrics(np.array([1, 1, 0, 0]), np.array([1, 1, 0, 0]))
-        assert cm.p_m == 0.0 and cm.p_fa == 0.0
-        assert cm.n_active == 2 and cm.n_inactive == 2
+        p_m, p_fa = detection.confusion_metrics(np.array([1, 1, 0, 0]), np.array([1, 1, 0, 0]))
+        assert p_m == 0.0 and p_fa == 0.0
 
     def test_half_missed_half_false(self):
-        cm = detection.confusion_metrics(np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]))
-        assert cm.p_m == pytest.approx(0.5)
-        assert cm.p_fa == pytest.approx(0.5)
-        assert cm.n_missed == 1 and cm.n_false == 1
+        p_m, p_fa = detection.confusion_metrics(np.array([1, 0, 1, 0]), np.array([1, 1, 0, 0]))
+        assert p_m == 0.5 and p_fa == 0.5
 
     def test_undefined_rates_are_nan(self):
-        cm = detection.confusion_metrics(np.array([0, 0]), np.array([0, 0]))
-        assert np.isnan(cm.p_m) and cm.p_fa == 0.0
-        cm = detection.confusion_metrics(np.array([1, 1]), np.array([1, 1]))
-        assert cm.p_m == 0.0 and np.isnan(cm.p_fa)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p_m, p_fa = detection.confusion_metrics(np.array([0, 0]), np.array([0, 0]))
+            assert np.isnan(p_m) and p_fa == 0.0
+            p_m, p_fa = detection.confusion_metrics(np.array([1, 1]), np.array([1, 1]))
+            assert p_m == 0.0 and np.isnan(p_fa)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             detection.confusion_metrics(np.zeros(3), np.zeros(4))
+        with pytest.raises(ValueError):
+            detection.confusion_metrics(np.zeros((2, 3)), np.zeros(4))
+
+    def test_counts_along_last_axis(self):
+        masks = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]], dtype=bool)
+        p_m, p_fa = detection.confusion_metrics(masks, np.array([1, 1, 0, 0]))
+        assert np.array_equal(p_m, [0.0, 0.5, 1.0])
+        assert np.array_equal(p_fa, [0.0, 0.5, 0.0])
 
 
 class TestRocSweep:
@@ -50,15 +66,57 @@ class TestRocSweep:
         rng = np.random.default_rng(0)
         alpha_hat = rng.random(100)
         truth = (rng.random(100) < 0.3).astype(np.int64)
-        sweep = detection.roc_sweep(alpha_hat, truth, np.linspace(0, 1.2, 30))
-        p_m = [cm.p_m for _, cm in sweep]
-        p_fa = [cm.p_fa for _, cm in sweep]
-        assert all(a <= b + 1e-15 for a, b in zip(p_m, p_m[1:]))
-        assert all(a >= b - 1e-15 for a, b in zip(p_fa, p_fa[1:]))
+        masks, p_m, p_fa = detection.roc_sweep(alpha_hat, truth, np.linspace(0, 1.2, 30))
+        assert masks.shape == (30, 100)
+        assert np.all(np.diff(p_m) >= 0) and np.all(np.diff(p_fa) <= 0)
 
     def test_rejects_unsorted_thresholds(self):
         with pytest.raises(ValueError):
             detection.roc_sweep(np.zeros(2), np.zeros(2, dtype=np.int64), [0.5, 0.1])
+
+
+def assert_sweep_matches_loop(alpha_hat, truth, thresholds):
+    """The broadcast sweep gives the per-threshold loop's masks and rates, bit for bit."""
+    masks, p_m, p_fa = detection.roc_sweep(alpha_hat, truth, thresholds)
+    ref_masks, ref_p_m, ref_p_fa = oracles.roc_sweep_loop(alpha_hat, truth, thresholds)
+    assert np.array_equal(masks, ref_masks)
+    assert np.array_equal(p_m, ref_p_m, equal_nan=True)
+    assert np.array_equal(p_fa, ref_p_fa, equal_nan=True)
+
+
+class TestRocSweepMatchesLoop:
+    def test_full_scale_trials(self):
+        # the NNLS solves of roc --config perfbench/configs/full_nnls.json --trials 3 --seed 1000
+        config = harness.ExperimentConfig(
+            methods=(harness.MethodSpec("nnls"),), n_trials=3, master_seed=1000)
+        ctx = harness.build_context(config)
+        for trial in range(3):
+            _, activity, y = harness.simulate_trial(ctx, trial)
+            alpha_hat = harness.solve_method(ctx, 0, y, {}).alpha_hat
+            assert_sweep_matches_loop(alpha_hat, activity, config.thresholds)
+            # thresholds exactly at estimates: those users are not detected
+            at = np.sort(np.concatenate([config.thresholds, alpha_hat[alpha_hat > 0][:20]]))
+            assert_sweep_matches_loop(alpha_hat, activity, at)
+
+    def test_empty_active_or_inactive_set(self):
+        alpha_hat = np.array([0.0, 0.2, 0.5, 0.5, 1.0])
+        thresholds = [-0.1, 0.0, 0.2, 0.5, 0.9, 1.0, 1.1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for truth in (np.zeros(5, dtype=np.int64), np.ones(5, dtype=np.int64)):
+                assert_sweep_matches_loop(alpha_hat, truth, thresholds)
+
+    def test_random_inputs(self):
+        gen = np.random.default_rng(50)
+        for case in range(200):
+            n = int(gen.integers(1, 60))
+            alpha_hat = np.round(gen.random(n), 1) if case % 2 else gen.random(n)
+            truth = (gen.random(n) < gen.random()).astype(np.int64)
+            thresholds = np.sort(np.concatenate([
+                gen.uniform(-0.2, 1.2, int(gen.integers(1, 30))),
+                gen.choice(alpha_hat, min(n, 5)),
+            ]))
+            assert_sweep_matches_loop(alpha_hat, truth, thresholds)
 
 
 class TestKmeans:
@@ -181,6 +239,18 @@ class TestKmeansMatchesLoop:
         for points, n_clusters, rng in calls:
             assert_matches_loop(points, n_clusters, rng)
 
+    def test_underflowing_distances(self):
+        # distinct positions whose squared distance underflows to 0: every
+        # restart takes its first centre again, as the loop does. The loop
+        # also stops drawing there, so only the centroids are compared.
+        points = np.array([[0.0, 0.0], [1e-170, 0.0], [0.0, 0.0]])
+        for seed in range(4):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                batched = detection.kmeans_cluster(points, 2, np.random.default_rng(seed))
+            loop = oracles.kmeans_cluster_loop(points, 2, np.random.default_rng(seed))
+            assert np.array_equal(batched, loop)
+
     def test_random_inputs(self):
         gen = np.random.default_rng(30)
         for case in range(200):
@@ -205,26 +275,25 @@ class TestMatchEvents:
     def test_crossed_pairing_resolved(self):
         true_ev = np.array([[0.0, 0.0], [1.0, 0.0]])
         est = np.array([[1.0, 0.1], [0.0, 0.1]])  # given in swapped order
-        out = detection.match_events(true_ev, est)
-        assert out.pairing == (1, 0)
-        assert out.rmsd == pytest.approx(0.1)
+        cost = np.sum((true_ev[:, None, :] - est[None, :, :]) ** 2, axis=2)
+        assert detection._min_cost_assignment(cost) == [1, 0]
+        assert detection.match_events(true_ev, est) == pytest.approx(0.1)
 
     def test_exact_match_zero_rmsd(self):
         ev = np.random.default_rng(8).random((4, 2))
-        out = detection.match_events(ev, ev[::-1])
-        assert out.rmsd == pytest.approx(0.0, abs=1e-15)
+        assert detection.match_events(ev, ev[::-1]) == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_brute_force_cost(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             true_ev = rng.random((4, 2))
             est = rng.random((4, 2))
-            out = detection.match_events(true_ev, est)
+            rmsd = detection.match_events(true_ev, est)
             best = min(
                 np.sum(np.sum((true_ev - est[list(p)]) ** 2, axis=1))
                 for p in itertools.permutations(range(4))
             )
-            assert out.rmsd == pytest.approx(np.sqrt(best / 4))
+            assert rmsd == pytest.approx(np.sqrt(best / 4))
 
     @pytest.mark.parametrize("n_events", range(1, 7))
     def test_pairing_is_a_brute_force_optimum(self, n_events):
@@ -235,35 +304,35 @@ class TestMatchEvents:
             if draw % 3 == 0:
                 # surplus centroids parked at the plane center tie exactly
                 est[n_events // 2:] = detection.PLANE_CENTER
-            out = detection.match_events(true_ev, est)
             cost = np.sum((true_ev[:, None, :] - est[None, :, :]) ** 2, axis=2)
             best = min(
                 cost[np.arange(n_events), list(p)].sum()
                 for p in itertools.permutations(range(n_events))
             )
-            assert sorted(out.pairing) == list(range(n_events))
-            paired = cost[np.arange(n_events), list(out.pairing)].sum()
+            pairing = detection._min_cost_assignment(cost)
+            assert sorted(pairing) == list(range(n_events))
+            paired = cost[np.arange(n_events), pairing].sum()
             assert paired == pytest.approx(best, rel=1e-12, abs=1e-15)
-            assert out.rmsd == pytest.approx(np.sqrt(best / n_events), rel=1e-12, abs=1e-15)
+            rmsd = detection.match_events(true_ev, est)
+            assert rmsd == pytest.approx(np.sqrt(best / n_events), rel=1e-12, abs=1e-15)
 
     def test_rejects_count_mismatch(self):
         with pytest.raises(ValueError):
             detection.match_events(np.zeros((2, 2)), np.zeros((3, 2)))
 
     def test_zero_events(self):
-        out = detection.match_events(np.empty((0, 2)), np.empty((0, 2)))
-        assert out.rmsd == 0.0
+        assert detection.match_events(np.empty((0, 2)), np.empty((0, 2))) == 0.0
 
 
 class TestLocalizeEvents:
     def test_no_detections_rmsd_to_center(self):
         user_pos = np.random.default_rng(10).random((20, 2))
         true_ev = np.array([[0.1, 0.1]])
-        out = detection.localize_events(
-            user_pos, np.zeros(20, dtype=np.int64), true_ev, np.random.default_rng(11)
+        # no detected position: the one centroid sits at the plane center
+        rmsd = detection.localize_events(
+            user_pos, np.zeros(20, dtype=bool), true_ev, np.random.default_rng(11)
         )
-        assert np.array_equal(out.centroids, [[0.5, 0.5]])
-        assert out.rmsd == pytest.approx(np.linalg.norm([0.4, 0.4]))
+        assert rmsd == pytest.approx(np.linalg.norm([0.4, 0.4]))
 
     def test_detections_on_events_give_small_rmsd(self):
         rng = np.random.default_rng(12)
@@ -272,6 +341,6 @@ class TestLocalizeEvents:
             true_ev[0] + 0.01 * rng.standard_normal((15, 2)),
             true_ev[1] + 0.01 * rng.standard_normal((15, 2)),
         ])
-        detected = np.ones(30, dtype=np.int64)
-        out = detection.localize_events(user_pos, detected, true_ev, np.random.default_rng(13))
-        assert out.rmsd < 0.02
+        detected = np.ones(30, dtype=bool)
+        rmsd = detection.localize_events(user_pos, detected, true_ev, np.random.default_rng(13))
+        assert rmsd < 0.02
