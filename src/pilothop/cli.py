@@ -76,7 +76,7 @@ def cmd_detect(args):
     try:
         dump = serialize.load(args.trial)
         y = np.asarray(dump["y"], dtype=float)
-        truth = np.asarray(dump["alpha"], dtype=np.int64)
+        truth = np.asarray(dump["alpha"], dtype=float)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigurationError(f"cannot read trial dump {args.trial}: {exc!r}") from exc
     ctx = harness.build_context(config)
@@ -88,6 +88,9 @@ def cmd_detect(args):
         raise ConfigurationError(
             f"trial dump has {truth.shape} activity entries, system has K={config.system.K}"
         )
+    binary = np.isin(truth, (0, 1))
+    if not binary.all():
+        raise ConfigurationError(f"trial dump alpha must hold only 0 and 1, got {truth[~binary][0]}")
     y_norm = y / ctx.scale
     workspaces: dict = {}
     rows = []
@@ -106,6 +109,8 @@ def cmd_detect(args):
 
 def cmd_campaign(args):
     """roc, rmsd and sweep-lambda: one Monte Carlo campaign writing both CSVs."""
+    if args.workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
     config = _load_config(args)
     if args.command == "sweep-lambda":
         config = harness.sweep_lambda_config(config)

@@ -12,8 +12,9 @@ EVENTS=0, ACTIVITY=1, CHANNELS=2, NOISE=3 and, for K-means,
 threshold therefore never perturbs the realizations.
 
 Solvers operate on the normalized system A' = A/(tau_p*p*beta_min),
-y' = y/(tau_p*p*beta_min), whose nonzero entries are 1 to within
-rounding, so the activity estimates, thresholds and regularization
+y' = y/(tau_p*p*beta_min). A' is the CSC matrix that ``sysmodel`` builds
+with its stored entries divided by the scale. Its nonzero entries are 1 to
+within rounding, so the activity estimates, thresholds and regularization
 strengths live on the same O(1) scale regardless of the physical power
 and noise levels.
 """
@@ -29,6 +30,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import detection, serialize, simulator, solvers, sysmodel
 from .errors import ConfigurationError
@@ -248,7 +250,7 @@ class SystemContext:
     topology: sysmodel.Topology
     fading: sysmodel.FadingProfile
     code: np.ndarray    # (K, T) hop table
-    a_norm: np.ndarray  # measurement matrix on the unit-nonzero scale
+    a_norm: sp.csc_matrix  # measurement matrix on the unit-nonzero scale
     scale: float        # tau_p * p * beta_min
     reg_specs: list     # per-method RegularizerSpec or None (nnls path)
 
@@ -269,7 +271,9 @@ def build_context(config: ExperimentConfig) -> SystemContext:
     rng = stream(config.master_seed, SYSTEM_SPAWN, 0)
     topology, fading, code, a = sysmodel.build_system(sys_cfg, rng)
     scale = sys_cfg.tau_p * sys_cfg.p * fading.beta_min
-    a_norm = a / scale
+    # in place: scipy's a / scale multiplies by 1 / scale, an ulp off at times
+    a_norm = a.copy()
+    a_norm.data /= scale
     neighbors = None
     reg_specs = []
     for m in config.methods:
@@ -400,8 +404,10 @@ def run_trials(
     workers: int = 1,
     dump_trials: bool = False,
 ) -> list[TrialResult]:
-    """All trials, folded in trial-index order regardless of completion order."""
+    """All trials, folded in trial-index order regardless of completion
+    order, on at most one worker process per trial."""
     indices = list(range(ctx.config.n_trials))
+    workers = min(workers, len(indices))
     if workers <= 1:
         workspaces: dict = {}
         return [run_trial(ctx, i, workspaces, dump_trials) for i in indices]

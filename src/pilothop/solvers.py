@@ -1,12 +1,13 @@
 """Non-negative least squares and group-norm regularized variants.
 
-Two production paths:
+Two production paths, both on A as the CSC matrix that ``sysmodel`` builds
+(10 nonzeros per column at paper scale; any other A is converted once on
+entry), so A^T is CSR for free and every product with A or A^T is sparse:
 
 * ``nnls_solve`` — accelerated projected gradient (FISTA with adaptive
   restart; Beck & Teboulle, SIAM J. Imaging Sci. 2009) for
   min_{x>=0} ||Ax - y||^2. An iteration is one product with A and one
-  with A^T, both kept as CSR when A is sparse (10 nonzeros per column
-  at paper scale), and the iterates are updated in place.
+  with A^T, and the iterates are updated in place.
 * ``regularized_solve`` — ADMM operator splitting for
   min_{x>=0} ||Ax - y||^2 + lambda * sum_j ||B_j x||_2,
   where B_j either selects a (possibly overlapping) group of coordinates
@@ -24,7 +25,7 @@ Optimization and Statistical Learning via ADMM", 2011, sec. 4.2.4) gives
 with W = M^-1 A^T and G = A W computed once. Users sit on a row-major
 grid, so M is banded; it is factored once by a banded Cholesky and each
 x-update is one banded solve, an m x m triangular solve pair, and the
-products with A and W, each kept as CSR when it is sparse. A new rho
+products with A and W (sparse when M is diagonal). A new rho
 refactors only the m x m capacitance G + rho/2 I; no n x n dense matrix
 is ever formed. The ADMM state lives in buffers allocated once per solve
 and updated in place.
@@ -58,6 +59,8 @@ TV = "tv"
 CHECK_EVERY = 10
 # difference pairs kept by the Anderson-accelerated ADMM
 ANDERSON_MEMORY = 10
+# ADMM relaxation parameter, in (0, 2)
+OVER_RELAX = 1.8
 
 _posv = scipy.linalg.lapack.dposv
 _gemv = scipy.linalg.blas.dgemv
@@ -103,7 +106,6 @@ class SolverOptions:
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
     rho: float = 1.0            # initial ADMM penalty; residual balancing doubles or halves it
-    over_relax: float = 1.8     # ADMM relaxation parameter in (0, 2)
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -115,8 +117,6 @@ class SolverOptions:
         # the x-update divides by rho
         if not (np.isfinite(self.rho) and self.rho > 0):
             raise ConfigurationError(f"rho must be finite and > 0, got {self.rho}")
-        if not 0 < self.over_relax < 2:
-            raise ConfigurationError(f"over_relax must be in (0, 2), got {self.over_relax}")
 
 
 @dataclass
@@ -128,19 +128,21 @@ class SolverResult:
     rho_changes: int = 0     # ADMM penalty updates by residual balancing
 
 
-def _check_problem(A: np.ndarray, y: np.ndarray):
-    A = np.asarray(A, dtype=float)
+def _check_problem(A, y: np.ndarray):
+    """A as a float CSC matrix (A itself when it is one), y as a float vector."""
+    A = A if sp.issparse(A) else np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     if A.ndim != 2 or y.ndim != 1 or A.shape[0] != y.shape[0]:
         raise ConfigurationError(f"incompatible shapes A{A.shape}, y{y.shape}")
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(y))):
+    A = A if sp.isspmatrix_csc(A) and A.dtype == float else sp.csc_matrix(A, dtype=float)
+    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(y))):
         raise ConfigurationError("non-finite entries in A or y")
     return A, y
 
 
 def _lipschitz(A, At, iters: int = 20, tol: float = 1e-6) -> float:
     """2*sigma_max(A)^2 via power iteration on A^T A (deterministic start);
-    At is A^T, so either may be kept as CSR."""
+    At is A^T."""
     n = A.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
@@ -210,17 +212,6 @@ def _banded_cholesky(M) -> np.ndarray:
     return scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
 
 
-def _csr_if_sparse(X: np.ndarray):
-    """X as CSR when at most a quarter of its entries are nonzero, else X.
-
-    A CSR product reads a 4-byte index with every 8-byte value, so at a
-    quarter density it reads under half the bytes of a dense product.
-    """
-    if np.count_nonzero(X) <= X.size // 4:
-        return sp.csr_matrix(X)
-    return X
-
-
 class RegularizedWorkspace:
     """Factorized x-update state reusable across right-hand sides.
 
@@ -236,14 +227,14 @@ class RegularizedWorkspace:
     * the banded Cholesky factor of M = B^T B + I, solved with LAPACK
       ``pbtrs`` (the band is read from M: 37 for TV on the 36x36 grid at
       r = 0.05, 0 for group-LASSO, whose M is diagonal);
-    * W = M^-1 A^T and G = A W, with A and W kept as CSR when sparse (A
-      has 10 nonzeros per column; W has A^T's sparsity when M is
-      diagonal);
+    * W = M^-1 A^T and G = A W, a sparse product; W is kept as CSR when
+      M is diagonal (its banded factor has one row), where it has A^T's
+      sparsity, and dense otherwise;
     * the Cholesky factors of the m x m capacitance G + rho/2 I, one per
       visited penalty value, solved with LAPACK ``potrs``.
     """
 
-    def __init__(self, A: np.ndarray, reg: RegularizerSpec, options: SolverOptions):
+    def __init__(self, A, reg: RegularizerSpec, options: SolverOptions):
         A, _ = _check_problem(A, np.zeros(A.shape[0]))
         self.n = n = A.shape[1]
         B, starts = build_group_operator(reg, n)
@@ -264,10 +255,10 @@ class RegularizedWorkspace:
         self._pbtrs, self._potrs = scipy.linalg.get_lapack_funcs(
             ("pbtrs", "potrs"), (self._chol_M,)
         )
-        W, _ = self._pbtrs(self._chol_M, A.T, lower=1)
+        W, _ = self._pbtrs(self._chol_M, A.T.toarray(), lower=1)
+        self.A = A
         self.G = A @ W
-        self.A = _csr_if_sparse(A)
-        self.W = _csr_if_sparse(W)
+        self.W = sp.csr_matrix(W) if self._chol_M.shape[0] == 1 else W
         self._factors: dict[float, np.ndarray] = {}
 
     def factor(self, rho: float) -> np.ndarray:
@@ -292,15 +283,13 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
     """min_{x>=0} ||Ax - y||^2 by FISTA with orthant projection and restart.
 
     Convergence is certified by the projected-gradient KKT residual
-    relative to ||2 A^T y||. A and A^T are kept as CSR when sparse (A has
-    10 nonzeros per column at paper scale), so an iteration is one product
-    with each; the iterates live in buffers allocated once per solve.
+    relative to ||2 A^T y||. An iteration is one product with A and one
+    with A^T; the iterates live in buffers allocated once per solve.
     """
     A, y = _check_problem(A, y)
     options = options or SolverOptions()
     n = A.shape[1]
-    A = _csr_if_sparse(A)
-    At = A.T.tocsr() if sp.issparse(A) else A.T
+    At = A.T
     L = _lipschitz(A, At)
     if L == 0.0:  # A == 0: any feasible point is optimal
         return SolverResult(np.zeros(n), 0, True)
@@ -391,7 +380,7 @@ def regularized_solve(
     eps_dual_floor = np.sqrt(n) * options.abs_tol
     Aty2_norm = np.linalg.norm(Aty2)
     rho = options.rho
-    relax = options.over_relax
+    relax = OVER_RELAX
     theta = reg.lam / rho  # block soft-threshold radius
     m_total = ws.m_groups + n  # real stacked rows; the padding is not counted
     eps_pri_floor = np.sqrt(m_total) * options.abs_tol
@@ -533,8 +522,6 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
         return np.linalg.norm(restricted(g0))
 
     B, starts = build_group_operator(reg, x.shape[0])
-    if B.shape[0] == 0:
-        return np.linalg.norm(restricted(g0))
     Bx = B @ x
     sizes = np.diff(starts)
     norms = _group_norms(Bx, starts)

@@ -2,7 +2,8 @@
 
 Topology, large-scale fading with statistical channel inversion power
 control, the pilot-hopping code (a (K, T) hop table) and the energy-domain
-measurement matrix (a (tau_p*T, K) array). Everything here is a pure
+measurement matrix A, a (tau_p*T, K) CSC matrix with T nonzeros per column
+that the solvers use as is. Everything here is a pure
 function of (config, rng); nothing is modified after construction, so the
 results are safe to share across workers.
 """
@@ -14,6 +15,7 @@ import warnings
 from dataclasses import dataclass, asdict, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConfigurationError, NumericalError
 from . import serialize
@@ -204,26 +206,25 @@ def generate_code(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     return hops
 
 
-def build_measurement_matrix(
-    hops: np.ndarray, fading: FadingProfile, config: SystemConfig
-) -> np.ndarray:
-    """The (tau_p*T, K) energy-domain sensing matrix, entries
+def build_measurement_matrix(hops: np.ndarray, fading: FadingProfile,
+                             config: SystemConfig) -> sp.csc_matrix:
+    """The (tau_p*T, K) energy-domain sensing matrix as CSC, entries
     S_ikt * tau_p * p_k * beta_k.
 
     Row (i, t) is flattened as (t-1)*tau_p + i with t outer and the pilot
-    index i inner, matching the energy vector layout.
+    index i inner, matching the energy vector layout. Column k holds user
+    k's T pilots, one per coherence interval, so its row indices ascend.
     """
     K, T = hops.shape
-    a = np.zeros((config.tau_p * T, K))
     rows = np.arange(T) * config.tau_p + hops - 1  # (K, T)
-    a[rows, np.arange(K)[:, None]] = (config.tau_p * fading.powers * fading.beta)[:, None]
-    return a
+    data = np.repeat(config.tau_p * fading.powers * fading.beta, T)
+    return sp.csc_matrix((data, rows.ravel(), np.arange(K + 1) * T), shape=(config.tau_p * T, K))
 
 
 def build_system(config: SystemConfig, rng: np.random.Generator,
                  bs_positions: np.ndarray | None = None):
     """(topology, fading, hops, a): the topology, calibrated fading, hop
-    table and measurement matrix in one call."""
+    table and CSC measurement matrix in one call."""
     topology = build_topology(config, bs_positions)
     gamma = calibrate_gamma(config, topology)
     fading = build_fading(config, topology, gamma)
@@ -267,7 +268,7 @@ def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
 
 def save_system(path, config, topology, fading, hops, a):
     """system.json: every field of the system's parts, under schema
-    ``pilothop-system-v1``."""
+    ``pilothop-system-v1``; the measurement matrix is written dense."""
     serialize.dump(
         {
             "schema": "pilothop-system-v1",
@@ -275,7 +276,7 @@ def save_system(path, config, topology, fading, hops, a):
             "topology": asdict(topology),
             "fading": asdict(fading),
             "code": {"hops": hops},
-            "measurement_matrix": {"a": a},
+            "measurement_matrix": {"a": a.toarray()},
         },
         path,
     )

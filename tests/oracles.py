@@ -1,5 +1,6 @@
 """Reference values and solvers for the tests, independent of the production paths."""
 import numpy as np
+import scipy.sparse as sp
 
 from pilothop import detection, serialize, simulator, solvers, sysmodel
 from pilothop.errors import ConfigurationError
@@ -122,7 +123,7 @@ def nnls_fista_dense(A, y, options=None):
     """Dense-product reference of solvers.nnls_solve: the same FISTA
     iteration, restart rule and KKT stopping rule, with a fresh array for
     every vector. Returns a solvers.SolverResult."""
-    A = np.asarray(A, dtype=float)
+    A = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
     options = options or solvers.SolverOptions()
     n = A.shape[1]

@@ -177,6 +177,7 @@ def test_criterion_5_nnls_sparse_recovery():
     cfg = harness.ExperimentConfig(solver_rel_tol=1e-12, solver_max_iters=100_000)
     ctx = harness.build_context(cfg)
     A = ctx.a_norm
+    dense = A.toarray()  # for the LP certificate and the rank test
     options = cfg.solver_options()
     n_instances = 100
     n_id = 0
@@ -201,8 +202,8 @@ def test_criterion_5_nnls_sparse_recovery():
                         / np.linalg.norm(y))
         support = np.flatnonzero(alpha)
         if (
-            _off_support_mass(A, y, support) <= 1e-6
-            and np.linalg.matrix_rank(A[:, support]) == support.size
+            _off_support_mass(dense, y, support) <= 1e-6
+            and np.linalg.matrix_rank(dense[:, support]) == support.size
         ):
             n_id += 1
             err = float(np.max(np.abs(res.alpha_hat - alpha)))

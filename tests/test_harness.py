@@ -123,6 +123,33 @@ class TestTrialExecution:
         assert np.array_equal(r_base.p_m[0], r_more.p_m[0], equal_nan=True)
         assert np.array_equal(r_base.rmsd[0], r_more.rmsd[0])
 
+    def test_one_worker_process_per_trial_at_most(self, monkeypatch):
+        # a recording stand-in for the pool runs the trials in this process
+        started = []
+
+        class RecordingPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness, "_WORKER_CTX", None)
+        monkeypatch.setattr(harness, "_WORKER_WORKSPACES", {})
+        ctx = harness.build_context(tiny_experiment(n_trials=2))
+        results = harness.run_trials(ctx, workers=8)
+        assert started == [2] and len(results) == 2
+        harness.run_trials(replace(ctx, config=replace(ctx.config, n_trials=1)), workers=8)
+        assert started == [2]  # one trial runs in this process, without a pool
+
     def test_worker_count_invariance(self):
         config = tiny_experiment(n_trials=4)
         ctx = harness.build_context(config)
@@ -147,6 +174,20 @@ class TestTrialExecution:
             assert np.array_equal(own.alpha_hat, again.alpha_hat)
             assert own.iterations == again.iterations
         assert shared.converged.all()
+
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_a_norm_divides_every_entry(self, quick):
+        # each stored entry divided by the scale, as the dense a / scale did;
+        # scipy's a / scale multiplies by 1 / scale, an ulp off at times
+        config = harness.ExperimentConfig()
+        config = harness.quick_preset(config) if quick else config
+        ctx = harness.build_context(config)
+        rng = harness.stream(config.master_seed, harness.SYSTEM_SPAWN, 0)
+        a = sysmodel.build_system(config.system, rng)[3]
+        assert ctx.a_norm.format == "csc"
+        assert np.array_equal(ctx.a_norm.toarray(), a.toarray() / ctx.scale)
+        # the solvers take the context's A as it is
+        assert solvers._check_problem(ctx.a_norm, np.zeros(a.shape[0]))[0] is ctx.a_norm
 
     def test_asymptotic_mode_is_noiseless(self):
         config = tiny_experiment(antennas_mode="asymptotic", n_trials=1)
@@ -339,6 +380,31 @@ class TestCli:
         assert rc == 2
         assert "cannot read trial dump" in capsys.readouterr().err
         assert not (tmp_path / "out" / "detect.csv").exists()
+
+    def test_detect_non_binary_alpha_exit_code(self, tmp_path, capsys):
+        # an int64 cast would read 0.5 as 0 and 1.7 as 1, and count 2 as inactive
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
+        trial = out / "trials" / "trial_00000.json"
+        dump = serialize.load(trial)
+        for value in (0.5, 1.7, 2):
+            dump["alpha"][3] = value
+            serialize.dump(dump, trial)
+            rc = cli.main(["detect", "--config", cfg, "--trial", str(trial), "--out", str(out)])
+            assert rc == 2
+            assert f"only 0 and 1, got {float(value)}" in capsys.readouterr().err
+            assert not (out / "detect.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_non_positive_workers_exit_code(self, tmp_path, capsys, workers):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        rc = cli.main(["roc", "--config", cfg, "--trials", "1", "--workers", workers,
+                       "--out", str(out)])
+        assert rc == 2
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_detect_dump_of_other_k_exit_code(self, tmp_path, capsys):
         # right measurement count, activity vector of another K

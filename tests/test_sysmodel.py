@@ -226,7 +226,7 @@ class TestMeasurementMatrix:
             np.full((1, 4), 1.0), np.array([1.0]), 1.0, 1.0, np.array([1.0])
         )
         a = sysmodel.build_measurement_matrix(np.array([[1]]), fad, cfg)
-        assert np.array_equal(a, [[1.0]])
+        assert np.array_equal(a.toarray(), [[1.0]])
 
     def test_two_user_layout(self):
         cfg = sysmodel.SystemConfig(K=2, grid_side=1, L=4, M=2, tau_p=2, T=2, E=1)
@@ -237,10 +237,11 @@ class TestMeasurementMatrix:
         )
         a = sysmodel.build_measurement_matrix(code, fad, cfg)
         expected = np.array([[c, 0.0], [0.0, c], [0.0, 0.0], [c, c]])
-        assert np.allclose(a, expected)
+        assert np.allclose(a.toarray(), expected)
 
     def test_paper_scale_structure(self, paper_system):
         cfg, _, fad, _, a = paper_system
+        a = a.toarray()
         assert a.shape == (100, 1296)
         assert np.all((a != 0).sum(axis=0) == cfg.T)
         norms = np.linalg.norm(a, axis=0)
@@ -252,7 +253,14 @@ class TestMeasurementMatrix:
 
     def test_matches_column_loop(self, paper_system):
         cfg, _, fad, code, a = paper_system
-        assert np.array_equal(a, oracles.measurement_matrix_loop(code, fad, cfg))
+        assert np.array_equal(a.toarray(), oracles.measurement_matrix_loop(code, fad, cfg))
+
+    def test_csc_layout(self, paper_system):
+        # T stored entries per column, row indices ascending within a column
+        cfg, _, _, _, a = paper_system
+        assert a.format == "csc" and a.nnz == cfg.K * cfg.T
+        assert np.array_equal(a.indptr, np.arange(cfg.K + 1) * cfg.T)
+        assert np.all(np.diff(a.indices.reshape(cfg.K, cfg.T), axis=1) > 0)
 
 
 class TestSerialization:
@@ -268,4 +276,4 @@ class TestSerialization:
         assert np.array_equal(topo2.distances, topo.distances)
         assert np.array_equal(fad2.powers, fad.powers)
         assert np.array_equal(code2, code)
-        assert np.array_equal(a2, a)
+        assert np.array_equal(a2, a.toarray())
