@@ -263,6 +263,8 @@ class TrialResult:
     rmsd: np.ndarray       # (n_methods, n_thr)
     zero_detected: np.ndarray  # (n_methods, n_thr) bool
     converged: np.ndarray  # (n_methods,) bool
+    iterations: np.ndarray     # (n_methods,) solver iterations
+    rejected_steps: np.ndarray  # (n_methods,) accelerated ADMM steps undone
     dump: dict | None = None
 
 
@@ -377,9 +379,13 @@ def run_trial(
     rmsd = np.full(shape, np.nan)
     zero_detected = np.empty(shape, dtype=bool)
     converged = np.zeros(shape[0], dtype=bool)
+    iterations = np.zeros(shape[0], dtype=np.int64)
+    rejected_steps = np.zeros(shape[0], dtype=np.int64)
     for mi in range(shape[0]):
         result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
+        iterations[mi] = result.iterations
+        rejected_steps[mi] = result.rejected_steps
         masks, p_m[mi], p_fa[mi] = detection.roc_sweep(
             result.alpha_hat, activity, config.thresholds)
         zero_detected[mi] = ~masks.any(axis=1)
@@ -391,7 +397,8 @@ def run_trial(
                 )
 
     dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
-    return TrialResult(p_m, p_fa, rmsd, zero_detected, converged, dump)
+    return TrialResult(
+        p_m, p_fa, rmsd, zero_detected, converged, iterations, rejected_steps, dump)
 
 
 def _run_trial_in_worker(args):
@@ -510,11 +517,16 @@ def run_experiment(
 
     Solves that stop at solver_max_iters stay in the averages; their count
     per method goes to the manifest and, when nonzero, to a stderr warning.
+    The manifest also sums, per method over all trials, the solver
+    iterations and the accelerated ADMM steps the safeguard undid (0 for
+    NNLS). None of these counts enters the CSVs.
     """
     ctx = build_context(config)
     results = run_trials(ctx, workers=workers, dump_trials=dump_trials)
     roc_rows, rmsd_rows = aggregate(config, results)
     unconverged = [int(n) for n in np.sum([~r.converged for r in results], axis=0)]
+    iterations = [int(n) for n in np.sum([r.iterations for r in results], axis=0)]
+    rejected_steps = [int(n) for n in np.sum([r.rejected_steps for r in results], axis=0)]
     if any(unconverged):
         counts = ", ".join(
             f"{m.kind} lambda={m.lam}: {n} of {len(results)}"
@@ -532,6 +544,8 @@ def run_experiment(
             "version": __version__,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "unconverged_solves": unconverged,
+            "solver_iterations": iterations,
+            "rejected_steps": rejected_steps,
         }
         serialize.dump(manifest, os.path.join(out_dir, "manifest.json"))
     return roc_rows, rmsd_rows

@@ -32,12 +32,15 @@ and updated in place.
 
 ADMM is run as a fixed-point iteration on its pre-prox point and sped up
 by type-II Anderson acceleration (Walker & Ni, "Anderson acceleration for
-fixed-point iterations", SIAM J. Numer. Anal. 2011) with the safeguard of
-Zhang, O'Donoghue & Boyd, "Globally convergent type-I Anderson
-acceleration for nonsmooth fixed-point iterations" (SIAM J. Optim. 2020),
-the scheme SCS 3 uses: an extrapolated step whose fixed-point residual
-grows is undone and the history cleared. At paper scale this takes about
-2.8x fewer iterations than plain ADMM; there is no unaccelerated path.
+fixed-point iterations", SIAM J. Numer. Anal. 2011) with memory
+ANDERSON_MEMORY = 20, behind a relaxed monotone safeguard in the spirit
+of Zhang, O'Donoghue & Boyd, "Globally convergent type-I Anderson
+acceleration for nonsmooth fixed-point iterations" (SIAM J. Optim. 2020):
+an extrapolated step is undone and the history cleared only when its
+squared fixed-point residual exceeds SAFEGUARD_GROWTH = 4 times the
+previous point's (its residual norm more than doubles). At paper scale
+this takes about 4.8x fewer iterations than plain ADMM; there is no
+unaccelerated path.
 
 Plus an optimality certificate independent of both solvers, the
 minimal-norm subgradient residual (`kkt_residual`).
@@ -58,7 +61,10 @@ TV = "tv"
 # iterations between convergence checks (and ADMM penalty updates)
 CHECK_EVERY = 10
 # difference pairs kept by the Anderson-accelerated ADMM
-ANDERSON_MEMORY = 10
+ANDERSON_MEMORY = 20
+# an extrapolated ADMM step is undone when its squared fixed-point residual
+# exceeds this factor times the previous point's
+SAFEGUARD_GROWTH = 4.0
 # ADMM relaxation parameter, in (0, 2)
 OVER_RELAX = 1.8
 
@@ -227,9 +233,10 @@ class RegularizedWorkspace:
     * the banded Cholesky factor of M = B^T B + I, solved with LAPACK
       ``pbtrs`` (the band is read from M: 37 for TV on the 36x36 grid at
       r = 0.05, 0 for group-LASSO, whose M is diagonal);
-    * W = M^-1 A^T and G = A W, a sparse product; W is kept as CSR when
-      M is diagonal (its banded factor has one row), where it has A^T's
-      sparsity, and dense otherwise;
+    * W = M^-1 A^T and G = A W, a sparse product; when M is diagonal (its
+      banded factor has one row) W is the CSR A^T with its rows scaled, so
+      it has A^T's sparsity, and otherwise it is dense, solved by ``pbtrs``
+      from the dense A^T;
     * the Cholesky factors of the m x m capacitance G + rho/2 I, one per
       visited penalty value, solved with LAPACK ``potrs``.
     """
@@ -255,10 +262,20 @@ class RegularizedWorkspace:
         self._pbtrs, self._potrs = scipy.linalg.get_lapack_funcs(
             ("pbtrs", "potrs"), (self._chol_M,)
         )
-        W, _ = self._pbtrs(self._chol_M, A.T.toarray(), lower=1)
+        if self._chol_M.shape[0] == 1:
+            # M diagonal: W is A^T with row i divided twice by the factor's
+            # L_ii, as pbtrs divides, so it keeps A^T's sparsity
+            W = A.T.tocsr(copy=True)
+            l_ii = np.repeat(self._chol_M[0], np.diff(W.indptr))
+            W.data /= l_ii
+            W.data /= l_ii
+            self.G = (A @ W).toarray()
+        else:
+            W, _ = self._pbtrs(self._chol_M, A.T.toarray(), lower=1)
+            self.G = A @ W
         self.A = A
-        self.G = A @ W
-        self.W = sp.csr_matrix(W) if self._chol_M.shape[0] == 1 else W
+        self.W = W
+        self.kind = reg.kind
         self._factors: dict[float, np.ndarray] = {}
 
     def factor(self, rho: float) -> np.ndarray:
@@ -356,13 +373,24 @@ def regularized_solve(
     differences of the residual f = C x - z = (T(w) - w) / relax and of
     T(w): it solves the small least-squares problem min ||f - dF gamma||
     by its normal equations (Tikhonov regularized; scaling f does not
-    change gamma) and steps to T(w) - dG gamma. The safeguard follows Zhang,
-    O'Donoghue & Boyd, "Globally convergent type-I Anderson acceleration
-    for nonsmooth fixed-point iterations" (SIAM J. Optim. 2020): when the
-    fixed-point residual at an accelerated point exceeds the one at the
-    point before it, the step is rejected, the iteration resumes from the
-    saved plain step and the history is cleared. A rho change by residual
-    balancing changes the map, so it also clears the history.
+    change gamma) and steps to T(w) - dG gamma. The safeguard is a relaxed
+    monotone test in the spirit of Zhang, O'Donoghue & Boyd, "Globally
+    convergent type-I Anderson acceleration for nonsmooth fixed-point
+    iterations" (SIAM J. Optim. 2020): when the squared fixed-point
+    residual ||f||^2 at an accelerated point exceeds SAFEGUARD_GROWTH times
+    the one at the point before it, the step is rejected, the iteration
+    resumes from the saved plain step and the history is cleared. Smaller
+    growth is accepted, so one noisy step does not throw away a history
+    of ANDERSON_MEMORY pairs. A rho change by residual balancing
+    changes the map, so it also clears the history. At paper scale the
+    memory of 20 and the factor of 4 take about 4.8x fewer iterations than
+    plain ADMM.
+
+    A workspace passed in must have been built for reg's kind, its number
+    of groups and A's shape; otherwise ConfigurationError is raised. The
+    check does not compare group members or the entries of A, so a
+    workspace built for other groups of the same count, or for another A
+    of the same shape, still goes undetected and solves the wrong problem.
 
     Convergence and residual balancing are judged, every CHECK_EVERY
     iterations, on the plain ADMM step from the current point. All vectors
@@ -375,6 +403,11 @@ def regularized_solve(
     if workspace is None:
         workspace = RegularizedWorkspace(A, reg, options)
     ws = workspace
+    if (ws.kind, ws.n_groups, ws.A.shape) != (reg.kind, len(reg.groups), A.shape):
+        raise ConfigurationError(
+            f"workspace built for {ws.kind} with {ws.n_groups} groups and A{ws.A.shape}, "
+            f"solving {reg.kind} with {len(reg.groups)} groups and A{A.shape}"
+        )
     n = ws.n
     Aty2 = 2.0 * (A.T @ y)
     eps_dual_floor = np.sqrt(n) * options.abs_tol
@@ -463,7 +496,7 @@ def regularized_solve(
                 stored, f_prev, accelerated = 0, None, False
                 continue
         res = f @ f
-        if accelerated and res > res_prev:
+        if accelerated and res > SAFEGUARD_GROWTH * res_prev:
             # safeguard: resume from the plain step saved before the
             # extrapolation and drop the history
             rejected += 1

@@ -559,6 +559,32 @@ class TestCli:
         assert serialize.load(out / "manifest.json")["unconverged_solves"] == [0, 0, 0]
         assert capsys.readouterr().err == ""
 
+    def test_manifest_sums_solver_work_per_method(self, tmp_path):
+        # quick-scale TV at lambda = 0.06, seed 1: the safeguard undoes steps
+        path = tmp_path / "config.json"
+        path.write_text('{"schema_version": 1, "methods": '
+                        '[{"kind": "nnls"}, {"kind": "tv", "lambda": 0.06}]}')
+        out = tmp_path / "out"
+        assert cli.main(["roc", "--quick", "--config", str(path), "--trials", "2",
+                         "--seed", "1", "--out", str(out)]) == 0
+        manifest = serialize.load(out / "manifest.json")
+        ctx = harness.build_context(harness.config_from_dict(manifest["config"]))
+        iterations, rejected = [0, 0], [0, 0]
+        workspaces = {}
+        for t in range(2):
+            _, _, y = harness.simulate_trial(ctx, t)
+            for mi in range(2):
+                res = harness.solve_method(ctx, mi, y, workspaces)
+                iterations[mi] += res.iterations
+                rejected[mi] += res.rejected_steps
+        assert manifest["solver_iterations"] == iterations
+        assert manifest["rejected_steps"] == rejected
+        assert all(iterations) and rejected[0] == 0 and rejected[1] > 0
+        # the counts stay out of the curves
+        for name, header in (("roc.csv", harness.ROC_HEADER), ("rmsd.csv", harness.RMSD_HEADER)):
+            with open(out / name, newline="") as f:
+                assert tuple(next(csv.reader(f))) == header
+
     @pytest.mark.filterwarnings("error")
     def test_campaign_without_active_users_is_silent(self, tmp_path, capsys):
         # every p_m entry is undefined, so its mean is NaN without a warning

@@ -197,6 +197,26 @@ class TestXUpdate:
             tracemalloc.stop()
         assert peak < 10e6, f"workspace peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+    def test_glasso_w_is_scaled_a_transpose(self, quick):
+        # M = B^T B + I is diagonal for group-LASSO, so W = M^-1 A^T is A^T
+        # with its rows scaled: the pbtrs solve on the dense A^T, without it
+        cfg = sysmodel.SystemConfig(**(harness.QUICK_SYSTEM if quick else {}))
+        topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(0))
+        A = a / a.max()
+        reg = solvers.glasso_spec(sysmodel.neighbor_sets(topo, cfg.r), 0.06)
+        ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
+        m_diag = np.diag(dense_penalty_gram(reg, cfg.K)) + 1.0
+        chol = scipy.linalg.cholesky_banded(m_diag[None, :], lower=True)
+        w_ref, info = scipy.linalg.lapack.dpbtrs(chol, A.T.toarray(), lower=1)
+        assert info == 0
+        At = A.T.tocsr()
+        assert sp.isspmatrix_csr(ws.W)
+        assert np.array_equal(ws.W.indptr, At.indptr)
+        assert np.array_equal(ws.W.indices, At.indices)
+        np.testing.assert_allclose(ws.W.toarray(), w_ref, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(ws.G, A @ w_ref, rtol=1e-13, atol=0)
+
 
 def reference_admm(A, y, reg, options):
     """The plain ADMM of regularized_solve, without acceleration, as a reference.
@@ -371,6 +391,23 @@ class TestReferenceLoop:
         assert res.iterations <= 0.6 * plain_iters, (res.iterations, plain_iters)
 
 
+class TestIterationBudget:
+    """Regression gate on the accelerated solve's work: trial 0 of the
+    --quick preset at seed 1, lambda = 0.06. With Anderson memory 20 and a
+    safeguard growth factor of 4, TV takes 740 iterations and group-LASSO
+    230 (1220 and 240 with memory 10 and a factor of 1); the bounds leave
+    about 10% for BLAS-dependent rounding. The solve must still meet the
+    relative KKT bound that converged solves meet."""
+
+    @pytest.mark.parametrize("kind, bound", [("tv", 810), ("glasso", 250)])
+    def test_quick_scale_iterations(self, kind, bound):
+        A, y, reg = quick_scale_problem(kind, 0.06)
+        res = solvers.regularized_solve(A, y, reg)
+        assert res.converged
+        assert res.iterations <= bound, res.iterations
+        assert relative_kkt(A, y, reg, res.alpha_hat) <= 4e-4
+
+
 class TestNnls:
     def test_identity_nonnegative_target(self):
         y = np.array([1.0, 0.5, 2.0])
@@ -538,6 +575,26 @@ class TestRegularizedSolve:
         ]
         for s, f in zip(a_shared, a_fresh):
             assert np.array_equal(s, f)
+
+    @pytest.mark.parametrize(
+        "ws_kind, ws_groups, ws_n, kind, groups, n",
+        [
+            ("glasso", chain_neighbors(8), 8, "tv", chain_neighbors(8), 8),
+            ("glasso", contiguous_groups(8, 2), 8, "glasso", contiguous_groups(8, 4), 8),
+            ("glasso", contiguous_groups(8, 2), 8, "glasso", contiguous_groups(10, 3), 10),
+        ],
+        ids=["kind", "group-count", "width"],
+    )
+    def test_rejects_a_workspace_built_for_another_problem(
+        self, ws_kind, ws_groups, ws_n, kind, groups, n
+    ):
+        rng = np.random.default_rng(12)
+        spec = {"tv": solvers.tv_spec, "glasso": solvers.glasso_spec}
+        A = np.abs(rng.standard_normal((12, max(ws_n, n))))
+        ws = solvers.RegularizedWorkspace(A[:, :ws_n], spec[ws_kind](ws_groups, 0.1), TIGHT)
+        y = rng.standard_normal(12)
+        with pytest.raises(ConfigurationError, match="workspace built for"):
+            solvers.regularized_solve(A[:, :n], y, spec[kind](groups, 0.1), TIGHT, workspace=ws)
 
     def test_outputs_exactly_nonnegative_and_snapped(self):
         rng = np.random.default_rng(11)
