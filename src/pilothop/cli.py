@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
@@ -30,6 +31,12 @@ def _load_config(args) -> harness.ExperimentConfig:
         config = replace(config, n_trials=args.trials)
     if args.out is not None:
         config = replace(config, output_dir=args.out)
+    try:
+        os.makedirs(config.output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot create output directory {config.output_dir}: {exc.strerror or exc}"
+        ) from exc
     return config
 
 
@@ -49,11 +56,9 @@ def _add_common(p, trials=True, campaign=False):
 
 def cmd_topology(args):
     config = _load_config(args)
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     rng = harness.stream(config.master_seed, harness.SYSTEM_SPAWN, 0)
     topology, fading, code, a = sysmodel.build_system(config.system, rng)
-    path = os.path.join(out_dir, "system.json")
+    path = os.path.join(config.output_dir, "system.json")
     sysmodel.save_system(path, config.system, topology, fading, code, a)
     print(f"wrote {path}")
     return 0
@@ -74,7 +79,8 @@ def cmd_simulate(args):
 def cmd_detect(args):
     config = _load_config(args)
     try:
-        dump = serialize.load(args.trial)
+        with open(args.trial) as f:
+            dump = json.load(f)
         y = np.asarray(dump["y"], dtype=float)
         truth = np.asarray(dump["alpha"], dtype=float)
     except (OSError, ValueError, TypeError, KeyError) as exc:
@@ -99,9 +105,7 @@ def cmd_detect(args):
         _, p_m, p_fa = detection.roc_sweep(result.alpha_hat, truth, config.thresholds)
         rows += [(method.kind, method.lam, thr, fa, m, 1)
                  for thr, fa, m in zip(config.thresholds, p_fa.tolist(), p_m.tolist())]
-    out_dir = config.output_dir
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "detect.csv")
+    path = os.path.join(config.output_dir, "detect.csv")
     harness.write_csv(path, harness.ROC_HEADER, rows)
     print(f"wrote {path}")
     return 0

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import json
 import math
 import os
 import sys
@@ -219,9 +220,12 @@ def parse_config(path, quick: bool = False) -> ExperimentConfig:
     rejected rather than silently overridden.
     """
     try:
-        doc = serialize.load(path)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
+        with open(path) as f:
+            doc = json.load(f)
+    except OSError as exc:
+        raise ConfigurationError(
+            f"config file not found or unreadable: {path} ({exc.strerror or exc})"
+        ) from exc
     except ValueError as exc:
         raise ConfigurationError(f"{path}: invalid JSON ({exc})") from exc
     config = config_from_dict(doc)
@@ -470,18 +474,11 @@ RMSD_HEADER = (
 )
 
 
-def _fmt(v):
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
-
-
 def write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def emit_results(

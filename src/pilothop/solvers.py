@@ -166,25 +166,19 @@ def _lipschitz(A, At, iters: int = 20, tol: float = 1e-6) -> float:
     return 2.0 * lam
 
 
-def _group_norms(Bx: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """||B_j x|| per group from the stacked B x; 0 for groups without rows."""
-    nonempty = np.diff(starts) > 0
-    norms = np.zeros(nonempty.size)
-    if Bx.size:
-        norms[nonempty] = np.sqrt(np.add.reduceat(Bx * Bx, starts[:-1][nonempty]))
-    return norms
-
-
 def build_group_operator(reg: RegularizerSpec, n: int):
-    """Sparse stacked operator B and per-group row slices.
+    """Sparse stacked operator B of the regularizer, CSR of shape
+    (groups * width, n), width being the largest group's row count.
 
-    Returns (B, starts) where B is CSR of shape (m, n) and group j owns
-    rows starts[j]:starts[j+1]. A group-LASSO row selects one member of
-    its group; a TV row of group j is e_j - e_i for a member i != j.
-    Column indices are sorted within each row.
+    Row s of group j is row s*groups + j, so group j's rows are column j
+    of a (width, groups) view of B x; rows past a group's own are empty.
+    A group-LASSO row selects one member of its group; a TV row of group
+    j is e_j - e_i for a member i != j. Column indices are sorted within
+    each row.
     """
+    groups = len(reg.groups)
     members = np.concatenate(reg.groups)
-    owner = np.repeat(np.arange(len(reg.groups)), [len(g) for g in reg.groups])
+    owner = np.repeat(np.arange(groups), [len(g) for g in reg.groups])
     if reg.kind == GLASSO:
         row_owner, indices, data, per_row = owner, members, np.ones(members.size), 1
     else:
@@ -195,12 +189,13 @@ def build_group_operator(reg: RegularizerSpec, n: int):
         first = np.where(row_owner < other, 1.0, -1.0)
         data = np.column_stack([first, -first]).ravel()
         per_row = 2
-    rows = row_owner.size
-    indptr = np.arange(rows + 1) * per_row
-    starts = np.zeros(len(reg.groups) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row_owner, minlength=len(reg.groups)), out=starts[1:])
-    B = sp.csr_matrix((data, indices, indptr), shape=(rows, n))
-    return B, starts
+    # rows come grouped by owner; a row's rank within its group picks its slot
+    sizes = np.bincount(row_owner, minlength=groups)
+    rank = np.arange(row_owner.size) - (np.cumsum(sizes) - sizes)[row_owner]
+    row = np.repeat(rank * groups + row_owner, per_row)
+    return sp.csr_matrix(
+        (data, (row, indices)), shape=(groups * int(sizes.max(initial=0)), n)
+    )
 
 
 def _banded_cholesky(M) -> np.ndarray:
@@ -225,11 +220,10 @@ class RegularizedWorkspace:
     experiment harness, so everything that does not depend on y or rho is
     built once and shared by every solve:
 
-    * the stacked operator C = [B; I] (CSR) and its transpose, with row s
-      of group j at padded row s*groups + j for s < width, width being the
-      largest group's row count; rows past a group's own are empty, so a
-      group's block is one column of a (width, groups) view, and the block
-      soft threshold runs along contiguous rows;
+    * the stacked operator C = [B; I] (CSR) and its transpose, B in the
+      padded layout of ``build_group_operator``, so a group's block is one
+      column of a (width, groups) view and the block soft threshold runs
+      along contiguous rows;
     * the banded Cholesky factor of M = B^T B + I, solved with LAPACK
       ``pbtrs`` (the band is read from M: 37 for TV on the 36x36 grid at
       r = 0.05, 0 for group-LASSO, whose M is diagonal);
@@ -244,17 +238,10 @@ class RegularizedWorkspace:
     def __init__(self, A, reg: RegularizerSpec, options: SolverOptions):
         A, _ = _check_problem(A, np.zeros(A.shape[0]))
         self.n = n = A.shape[1]
-        B, starts = build_group_operator(reg, n)
-        sizes = np.diff(starts)
-        self.m_groups = B.shape[0]
-        self.n_groups = len(sizes)
-        self.width = int(sizes.max(initial=0))
-        group = np.repeat(np.arange(self.n_groups), sizes)
-        padded = (np.arange(self.m_groups) - starts[group]) * self.n_groups + group
-        B = B.tocoo()
-        B = sp.csr_matrix(
-            (B.data, (padded[B.row], B.col)), shape=(self.n_groups * self.width, n)
-        )
+        B = build_group_operator(reg, n)
+        self.n_groups = len(reg.groups)
+        self.width = B.shape[0] // self.n_groups
+        self.m_groups = int(np.count_nonzero(np.diff(B.indptr)))
         # the identity block appends the non-negativity copy u = x
         self.C = sp.vstack([B, sp.identity(n)], format="csr")
         self.Ct = self.C.T.tocsr()
@@ -554,15 +541,15 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     if reg is None or reg.lam == 0.0:
         return np.linalg.norm(restricted(g0))
 
-    B, starts = build_group_operator(reg, x.shape[0])
+    B = build_group_operator(reg, x.shape[0])
     Bx = B @ x
-    sizes = np.diff(starts)
-    norms = _group_norms(Bx, starts)
+    groups = len(reg.groups)
+    norms = np.linalg.norm(Bx.reshape(-1, groups), axis=0)
     # groups whose difference norm is at numerical-noise level are treated
     # as inactive (ball-constrained); fixing a direction from noise would
     # inject an O(lambda) phantom subgradient
     active = norms > 1e-7 * max(1.0, float(np.abs(Bx).max(initial=0.0)))
-    group_of_row = np.repeat(np.arange(len(sizes)), sizes)
+    group_of_row = np.arange(B.shape[0]) % groups
     fixed_rows = active[group_of_row]
     fixed = np.zeros(B.shape[0])
     fixed[fixed_rows] = reg.lam * Bx[fixed_rows] / norms[group_of_row[fixed_rows]]

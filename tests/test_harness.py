@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import time
 from dataclasses import replace
@@ -202,22 +203,28 @@ class TestOutputs:
     def test_csv_format(self, tmp_path):
         config = tiny_experiment(n_trials=2)
         roc_rows, rmsd_rows = harness.run_experiment(config, out_dir=tmp_path)
-        with open(tmp_path / "roc.csv", newline="") as f:
-            rows = list(csv.reader(f))
-        assert rows[0] == list(harness.ROC_HEADER)
-        assert len(rows) - 1 == len(config.methods) * len(config.thresholds)
-        # floats round-trip exactly through the 17-digit format
-        assert float(rows[1][3]) == roc_rows[0][3]
-        raw = (tmp_path / "roc.csv").read_bytes()
-        assert b"\r" not in raw
-        with open(tmp_path / "rmsd.csv", newline="") as f:
-            header = next(csv.reader(f))
-        assert header == list(harness.RMSD_HEADER)
+        for name, header, want in (("roc.csv", harness.ROC_HEADER, roc_rows),
+                                   ("rmsd.csv", harness.RMSD_HEADER, rmsd_rows)):
+            assert b"\r" not in (tmp_path / name).read_bytes()
+            with open(tmp_path / name, newline="") as f:
+                rows = list(csv.reader(f))
+            assert rows[0] == list(header)
+            assert len(rows) - 1 == len(config.methods) * len(config.thresholds)
+            assert len(want) == len(rows) - 1
+            for got, row in zip(rows[1:], want):
+                assert len(got) == len(row)
+                for cell, value in zip(got, row):
+                    if isinstance(value, float):
+                        back = float(cell)
+                        assert (np.float64(back).view(np.uint64) == np.float64(value).view(np.uint64)
+                                or (np.isnan(back) and np.isnan(value))), (name, cell, value)
+                    else:
+                        assert cell == str(value), (name, cell, value)
 
     def test_manifest_reproduces_config(self, tmp_path):
         config = tiny_experiment(n_trials=2)
         harness.run_experiment(config, out_dir=tmp_path)
-        manifest = serialize.load(tmp_path / "manifest.json")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
         back = harness.config_from_dict(manifest["config"])
         assert back.system == config.system
         assert back.master_seed == config.master_seed
@@ -227,7 +234,7 @@ class TestOutputs:
         harness.run_experiment(config, dump_trials=True, out_dir=tmp_path)
         files = sorted(os.listdir(tmp_path / "trials"))
         assert files == ["trial_00000.json", "trial_00001.json"]
-        dump = serialize.load(tmp_path / "trials" / files[0])
+        dump = json.loads((tmp_path / "trials" / files[0]).read_text())
         assert len(dump["alpha"]) == config.system.K
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), np.array([1.0, -np.inf])])
@@ -387,7 +394,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
         trial = out / "trials" / "trial_00000.json"
-        dump = serialize.load(trial)
+        dump = json.loads(trial.read_text())
         for value in (0.5, 1.7, 2):
             dump["alpha"][3] = value
             serialize.dump(dump, trial)
@@ -412,7 +419,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
         trial = out / "trials" / "trial_00000.json"
-        dump = serialize.load(trial)
+        dump = json.loads(trial.read_text())
         dump["alpha"] = dump["alpha"] + [0] * 4
         serialize.dump(dump, trial)
         rc = cli.main(["detect", "--config", cfg, "--trial", str(trial), "--out", str(out)])
@@ -535,7 +542,7 @@ class TestCli:
         rc = cli.main(["roc", "--quick", "--trials", "1", "--config", str(path),
                        "--out", str(out)])
         assert rc == 0
-        system = serialize.load(out / "manifest.json")["config"]["system"]
+        system = json.loads((out / "manifest.json").read_text())["config"]["system"]
         assert (system["K"], system["M"]) == (324, 8)
 
     def test_unconverged_solves_are_counted(self, tmp_path, capsys):
@@ -544,7 +551,7 @@ class TestCli:
         out = tmp_path / "out"
         rc = cli.main(["roc", "--config", cfg, "--trials", "2", "--out", str(out)])
         assert rc == 0
-        manifest = serialize.load(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["unconverged_solves"] == [2, 2, 2]
         err = capsys.readouterr().err
         assert err.count("warning") == 1
@@ -556,7 +563,7 @@ class TestCli:
         cfg = self.write_config(tmp_path)
         out = tmp_path / "out"
         assert cli.main(["roc", "--config", cfg, "--trials", "1", "--out", str(out)]) == 0
-        assert serialize.load(out / "manifest.json")["unconverged_solves"] == [0, 0, 0]
+        assert json.loads((out / "manifest.json").read_text())["unconverged_solves"] == [0, 0, 0]
         assert capsys.readouterr().err == ""
 
     def test_manifest_sums_solver_work_per_method(self, tmp_path):
@@ -567,7 +574,7 @@ class TestCli:
         out = tmp_path / "out"
         assert cli.main(["roc", "--quick", "--config", str(path), "--trials", "2",
                          "--seed", "1", "--out", str(out)]) == 0
-        manifest = serialize.load(out / "manifest.json")
+        manifest = json.loads((out / "manifest.json").read_text())
         ctx = harness.build_context(harness.config_from_dict(manifest["config"]))
         iterations, rejected = [0, 0], [0, 0]
         workspaces = {}
@@ -602,3 +609,25 @@ class TestCli:
     def test_missing_config_exit_code(self, tmp_path, capsys):
         rc = cli.main(["roc", "--config", str(tmp_path / "nope.json")])
         assert rc == 2
+
+    def test_config_directory_exit_code(self, tmp_path, capsys):
+        rc = cli.main(["roc", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"unreadable: {tmp_path} (Is a directory)" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["roc", "--trials", "1"], ["topology"],
+                                      ["simulate", "--trials", "1"]])
+    def test_out_that_is_a_file_exit_code(self, tmp_path, capsys, monkeypatch, argv):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a bad --out must fail before any solve")
+
+        monkeypatch.setattr(solvers, "nnls_solve", no_solve)
+        monkeypatch.setattr(solvers, "regularized_solve", no_solve)
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        for out in (taken, taken / "sub"):
+            rc = cli.main(argv + ["--quick", "--out", str(out)])
+            assert rc == 2
+            assert f"cannot create output directory {out}" in capsys.readouterr().err
+        assert taken.read_text() == "keep"
