@@ -475,10 +475,19 @@ RMSD_HEADER = (
 
 
 def write_csv(path, header, rows):
+    """header and rows as CSV lines ending in "\n".
+
+    A string cell that holds a carriage return raises ValueError before the
+    file is opened: csv.writer leaves it unquoted under the "\n" line
+    terminator, and it would read back as a row break.
+    """
+    rows = [header, *rows]
+    for row in rows:
+        for cell in row:
+            if isinstance(cell, str) and "\r" in cell:
+                raise ValueError(f"CSV cell {cell!r} holds a carriage return")
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(f, lineterminator="\n").writerows(rows)
 
 
 def emit_results(

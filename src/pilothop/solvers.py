@@ -40,13 +40,21 @@ an extrapolated step is undone and the history cleared only when its
 squared fixed-point residual exceeds SAFEGUARD_GROWTH = 4 times the
 previous point's (its residual norm more than doubles). At paper scale
 this takes about 4.8x fewer iterations than plain ADMM; there is no
-unaccelerated path.
+unaccelerated path. The history's difference rows are float32, which
+halves the largest allocation of a solve and the largest memory traffic
+of a step; every iterate, the Gram matrix and every test the solve
+decides on stay float64. Each solve runs on its problem divided by a
+power of two, exact in binary floating point, so the float32 rows stay in
+range at any scale of y and lambda. The reductions a decision rests on
+run in numpy's own loop, not BLAS, so results do not depend on the BLAS
+thread count.
 
 Plus an optimality certificate independent of both solvers, the
 minimal-norm subgradient residual (`kkt_residual`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +77,14 @@ SAFEGUARD_GROWTH = 4.0
 OVER_RELAX = 1.8
 
 _posv = scipy.linalg.lapack.dposv
-_gemv = scipy.linalg.blas.dgemv
+_sgemv = scipy.linalg.blas.sgemv
+
+
+def _dot(u, v) -> float:
+    """u . v in numpy's own loop. BLAS splits a long dot product across
+    threads, so its rounding, and every ADMM decision taken on it, would
+    depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", u, v))
 
 
 @dataclass(frozen=True)
@@ -360,10 +375,13 @@ def regularized_solve(
     differences of the residual f = C x - z = (T(w) - w) / relax and of
     T(w): it solves the small least-squares problem min ||f - dF gamma||
     by its normal equations (Tikhonov regularized; scaling f does not
-    change gamma) and steps to T(w) - dG gamma. The safeguard is a relaxed
-    monotone test in the spirit of Zhang, O'Donoghue & Boyd, "Globally
-    convergent type-I Anderson acceleration for nonsmooth fixed-point
-    iterations" (SIAM J. Optim. 2020): when the squared fixed-point
+    change gamma) and steps to T(w) - dG gamma. Each history row is the
+    float32 rounding of a float64 difference, and dF f and dG^T gamma are
+    float32 gemv products; the Gram matrix, its solve and every iterate
+    are float64. The safeguard is a relaxed monotone test in the spirit
+    of Zhang, O'Donoghue & Boyd, "Globally convergent type-I Anderson
+    acceleration for nonsmooth fixed-point iterations" (SIAM J. Optim.
+    2020): when the squared fixed-point
     residual ||f||^2 at an accelerated point exceeds SAFEGUARD_GROWTH times
     the one at the point before it, the step is rejected, the iteration
     resumes from the saved plain step and the history is cleared. Smaller
@@ -379,8 +397,17 @@ def regularized_solve(
     workspace built for other groups of the same count, or for another A
     of the same shape, still goes undetected and solves the wrong problem.
 
+    The solve runs on y and lambda divided by unit, the power of two that
+    brings max(|2 A^T y|, lambda) into [1, 2), with the abs_tol floors of
+    the stopping rule divided by it too. Scaling by a power of two is exact,
+    so the float64 arithmetic is that of the unscaled problem, while the
+    float32 history cannot overflow or underflow however y and lambda are
+    scaled. alpha_hat is scaled back before the snap to zero.
+
     Convergence and residual balancing are judged, every CHECK_EVERY
-    iterations, on the plain ADMM step from the current point. All vectors
+    iterations, on the plain ADMM step from the current point. Every norm
+    and squared residual the solve decides on is a `_dot`, so no decision
+    depends on the BLAS thread count. All vectors
     live in buffers allocated once per solve; group j's rows are column j
     of a (width, groups) view, so the block soft threshold is a column norm
     and a broadcast multiply.
@@ -397,13 +424,18 @@ def regularized_solve(
         )
     n = ws.n
     Aty2 = 2.0 * (A.T @ y)
-    eps_dual_floor = np.sqrt(n) * options.abs_tol
-    Aty2_norm = np.linalg.norm(Aty2)
+    # the problem divided by unit, a power of two (see the docstring)
+    top = max(float(np.abs(Aty2).max(initial=0.0)), reg.lam)
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < math.inf else 1.0
+    Aty2 /= unit
+    lam = reg.lam / unit
+    eps_dual_floor = np.sqrt(n) * options.abs_tol / unit
+    Aty2_norm = math.sqrt(_dot(Aty2, Aty2))
     rho = options.rho
     relax = OVER_RELAX
-    theta = reg.lam / rho  # block soft-threshold radius
+    theta = lam / rho  # block soft-threshold radius
     m_total = ws.m_groups + n  # real stacked rows; the padding is not counted
-    eps_pri_floor = np.sqrt(m_total) * options.abs_tol
+    eps_pri_floor = np.sqrt(m_total) * options.abs_tol / unit
     n_stack = ws.C.shape[0]
     pad = ws.n_groups * ws.width
     shape = (ws.width, ws.n_groups)
@@ -424,9 +456,10 @@ def regularized_solve(
     # stacked [group rows; identity rows] buffers, updated in place
     w, z, z_new, scratch, g, g_prev = (np.zeros(n_stack) for _ in range(6))
     # Anderson history: ring buffers of the residual and plain-step
-    # differences, their Gram matrix, and dF f of the previous step
-    dF = np.empty((ANDERSON_MEMORY, n_stack))
-    dG = np.empty((ANDERSON_MEMORY, n_stack))
+    # differences, each row the float32 rounding of a float64 difference,
+    # their Gram matrix, and dF f of the previous step
+    dF = np.empty((ANDERSON_MEMORY, n_stack), dtype=np.float32)
+    dG = np.empty((ANDERSON_MEMORY, n_stack), dtype=np.float32)
     gram = np.zeros((ANDERSON_MEMORY, ANDERSON_MEMORY))
     Ff_prev = np.zeros(ANDERSON_MEMORY)
     diag = [0.0] * ANDERSON_MEMORY  # Gram diagonal, for the regularization
@@ -454,19 +487,22 @@ def regularized_solve(
         # step is g = T(w) = w + relax f
         f = ws.C @ x
         if check:
-            cx_norm = np.linalg.norm(f)
+            cx_norm = math.sqrt(_dot(f, f))
         f -= z
         np.multiply(f, relax, out=g)
         g += w
         if check:
             prox(g, z_new)
             np.subtract(z, z_new, out=scratch)
-            r_dual = rho * np.linalg.norm(ws.Ct @ scratch)
+            dual = ws.Ct @ scratch
+            r_dual = rho * math.sqrt(_dot(dual, dual))
             scratch += f  # C x - z_new
-            r_pri = np.linalg.norm(scratch)
-            eps_pri = eps_pri_floor + options.rel_tol * max(cx_norm, np.linalg.norm(z_new))
+            r_pri = math.sqrt(_dot(scratch, scratch))
+            eps_pri = eps_pri_floor + options.rel_tol * max(
+                cx_norm, math.sqrt(_dot(z_new, z_new)))
             np.subtract(g, z_new, out=scratch)  # the plain step's u
-            dual_ref = rho * np.linalg.norm(ws.Ct @ scratch)
+            dual = ws.Ct @ scratch
+            dual_ref = rho * math.sqrt(_dot(dual, dual))
             eps_dual = eps_dual_floor + options.rel_tol * max(dual_ref, Aty2_norm)
             if r_pri <= eps_pri and r_dual <= eps_dual:
                 converged = True
@@ -477,12 +513,12 @@ def regularized_solve(
                 factor = 2.0 if r_pri > r_dual else 0.5
                 rho *= factor
                 rho_changes += 1
-                theta = reg.lam / rho
+                theta = lam / rho
                 scratch /= factor
                 np.add(z_new, scratch, out=w)
                 stored, f_prev, accelerated = 0, None, False
                 continue
-        res = f @ f
+        res = _dot(f, f)
         if accelerated and res > SAFEGUARD_GROWTH * res_prev:
             # safeguard: resume from the plain step saved before the
             # extrapolation and drop the history
@@ -500,23 +536,25 @@ def regularized_solve(
             stored += 1
             k = min(stored, ANDERSON_MEMORY)
             # one pass over dF: the right-hand side dF f, and the new Gram
-            # row dF d = dF f - dF f_prev (rows other than slot unchanged)
-            Ff = dF[:k] @ f
+            # row dF d = dF f - dF f_prev (rows other than slot unchanged).
+            # dF[:k].T is Fortran-ordered, so no copy, and trans=1 keeps a
+            # single row off numpy's dot path
+            Ff = _sgemv(1.0, dF[:k].T, f, trans=1)
             row = Ff - Ff_prev[:k]
-            row[slot] = diag[slot] = d @ d
+            row[slot] = diag[slot] = _dot(d, d)
             gram[slot, :k] = row
             gram[:k, slot] = row
             Ff_prev[:k] = Ff
             H = gram[:k, :k] + eye[:k, :k] * (1e-10 * sum(diag[:k]))
             _, gamma, info = _posv(H, Ff, lower=1, overwrite_a=1, overwrite_b=1)
             if info == 0:
-                # w = g - dG^T gamma; dG[:k].T is Fortran-ordered, so no copy
-                _gemv(-1.0, dG[:k].T, gamma, beta=1.0, y=w, overwrite_y=1)
+                np.subtract(g, _sgemv(1.0, dG[:k].T, gamma), out=w)
                 accelerated = True
         f_prev = f
         g, g_prev = g_prev, g
         res_prev = res
     alpha = np.maximum(0.0, x)
+    alpha *= unit
     # snap sub-tolerance residue to exact zeros so the sparsity pattern and
     # the KKT certificate see the identified active set
     snap = max(1e-12, 10.0 * options.rel_tol) * max(1.0, alpha.max(initial=0.0))

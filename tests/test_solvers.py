@@ -1,4 +1,9 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -196,6 +201,25 @@ class TestXUpdate:
         finally:
             tracemalloc.stop()
         assert peak < 10e6, f"workspace peak {peak / 1e6:.1f} MB"
+
+    def test_paper_scale_solve_memory(self):
+        # one full-scale group-LASSO solve on a built and factored workspace:
+        # a float64 Anderson history (2 x 20 stacked rows) peaks at 5.1 MB
+        config = harness.ExperimentConfig(master_seed=1000)
+        ctx = harness.build_context(config)
+        _, _, y = harness.simulate_trial(ctx, 0)
+        reg = solvers.glasso_spec(sysmodel.neighbor_sets(ctx.topology, config.system.r), 0.06)
+        options = config.solver_options()
+        ws = solvers.RegularizedWorkspace(ctx.a_norm, reg, options)
+        ws.factor(options.rho)
+        tracemalloc.start()
+        try:
+            res = solvers.regularized_solve(ctx.a_norm, y, reg, options, workspace=ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.converged
+        assert peak < 3.5e6, f"solve peak {peak / 1e6:.2f} MB"
 
     @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
     def test_glasso_w_is_scaled_a_transpose(self, quick):
@@ -406,6 +430,74 @@ class TestIterationBudget:
         assert res.converged
         assert res.iterations <= bound, res.iterations
         assert relative_kkt(A, y, reg, res.alpha_hat) <= 4e-4
+
+
+@pytest.mark.parametrize("kind", ["tv", "glasso"])
+class TestScaleCovariance:
+    """y and lambda times c scale the minimizer by c. The solve runs on the
+    problem divided by a power of two, so a power-of-two c changes no
+    rounding, and at any c the float32 Anderson history stays in range:
+    unnormalized, it overflows at c = 1e20."""
+
+    def test_power_of_two_is_bit_exact(self, kind):
+        # abs_tol scales with c too: its floors in the stopping rule are
+        # absolute, and at c = 1 they decide the TV solve's last check
+        A, y, reg = quick_scale_problem(kind, 0.06)
+        c = 2.0**70
+        options = solvers.SolverOptions()
+        base = solvers.regularized_solve(A, y, reg, options)
+        res = solvers.regularized_solve(A, c * y, replace(reg, lam=c * reg.lam),
+                                        replace(options, abs_tol=c * options.abs_tol))
+        assert res.iterations == base.iterations
+        assert np.array_equal(res.alpha_hat, c * base.alpha_hat)
+
+    @pytest.mark.parametrize("c", [1e20, 1e40, 1e150])
+    def test_far_scales_converge_to_the_scaled_solution(self, kind, c):
+        A, y, reg = quick_scale_problem(kind, 0.06)
+        base = solvers.regularized_solve(A, y, reg)
+        res = solvers.regularized_solve(A, c * y, replace(reg, lam=c * reg.lam))
+        assert base.converged and res.converged
+        assert np.max(np.abs(res.alpha_hat / c - base.alpha_hat)) <= 1e-5
+        assert abs(res.iterations - base.iterations) <= 0.1 * base.iterations, (
+            res.iterations, base.iterations)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# full-scale TV and group-LASSO solves of trials 0 and 1 at master seed
+# 1000, as a campaign runs them: iterations and a hash of alpha_hat's bytes
+THREAD_PROBE = """
+import hashlib
+from pilothop import harness
+ctx = harness.build_context(harness.ExperimentConfig(master_seed=1000))
+workspaces = {}
+for trial in (0, 1):
+    _, _, y = harness.simulate_trial(ctx, trial)
+    for mi, reg in enumerate(ctx.reg_specs):
+        if reg is not None:
+            res = harness.solve_method(ctx, mi, y, workspaces)
+            digest = hashlib.sha256(res.alpha_hat.tobytes()).hexdigest()
+            print(trial, reg.kind, res.iterations, res.converged, digest)
+"""
+
+
+def test_admm_does_not_depend_on_the_blas_thread_count():
+    """The same solves under OPENBLAS_NUM_THREADS=1 and =2 give the same
+    alpha_hat bytes and iteration counts. OpenBLAS splits a long dot
+    product across threads, which changes its rounding, so no BLAS
+    reduction may reach an ADMM decision. OpenBLAS caps its threads at the
+    CPUs it finds, so on a 1-CPU runner both runs may use one thread, and
+    there the test cannot fail."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 4 and all(line.split()[3] == "True" for line in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 class TestNnls:
