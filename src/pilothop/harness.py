@@ -269,6 +269,7 @@ class TrialResult:
     converged: np.ndarray  # (n_methods,) bool
     iterations: np.ndarray     # (n_methods,) solver iterations
     rejected_steps: np.ndarray  # (n_methods,) accelerated ADMM steps undone
+    rho_changes: np.ndarray     # (n_methods,) ADMM penalty updates
     dump: dict | None = None
 
 
@@ -367,6 +368,8 @@ def run_trial(
 ) -> TrialResult:
     """One paired Monte Carlo trial; deterministic in (master_seed, trial_index).
 
+    Methods without a regularizer (NNLS, and TV or group-LASSO at lambda =
+    0) share one NNLS solve; each keeps its own K-means streams.
     With localize=False the K-means localization is skipped and the RMSD
     entries are NaN; detection metrics are unaffected. Useful for ROC-only
     campaigns where clustering at every threshold dominates the cost.
@@ -385,11 +388,19 @@ def run_trial(
     converged = np.zeros(shape[0], dtype=bool)
     iterations = np.zeros(shape[0], dtype=np.int64)
     rejected_steps = np.zeros(shape[0], dtype=np.int64)
+    rho_changes = np.zeros(shape[0], dtype=np.int64)
+    nnls = None  # every method without a regularizer solves the same NNLS
     for mi in range(shape[0]):
-        result = solve_method(ctx, mi, y_norm, workspaces)
+        if ctx.reg_specs[mi] is None:
+            if nnls is None:
+                nnls = solve_method(ctx, mi, y_norm, workspaces)
+            result = nnls
+        else:
+            result = solve_method(ctx, mi, y_norm, workspaces)
         converged[mi] = result.converged
         iterations[mi] = result.iterations
         rejected_steps[mi] = result.rejected_steps
+        rho_changes[mi] = result.rho_changes
         masks, p_m[mi], p_fa[mi] = detection.roc_sweep(
             result.alpha_hat, activity, config.thresholds)
         zero_detected[mi] = ~masks.any(axis=1)
@@ -401,8 +412,8 @@ def run_trial(
                 )
 
     dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
-    return TrialResult(
-        p_m, p_fa, rmsd, zero_detected, converged, iterations, rejected_steps, dump)
+    return TrialResult(p_m, p_fa, rmsd, zero_detected, converged, iterations,
+                       rejected_steps, rho_changes, dump)
 
 
 def _run_trial_in_worker(args):
@@ -524,8 +535,9 @@ def run_experiment(
     Solves that stop at solver_max_iters stay in the averages; their count
     per method goes to the manifest and, when nonzero, to a stderr warning.
     The manifest also sums, per method over all trials, the solver
-    iterations and the accelerated ADMM steps the safeguard undid (0 for
-    NNLS). None of these counts enters the CSVs.
+    iterations, the accelerated ADMM steps the safeguard undid and the
+    ADMM penalty (rho) updates (both 0 for NNLS). None of these counts
+    enters the CSVs.
     """
     ctx = build_context(config)
     results = run_trials(ctx, workers=workers, dump_trials=dump_trials)
@@ -533,6 +545,7 @@ def run_experiment(
     unconverged = [int(n) for n in np.sum([~r.converged for r in results], axis=0)]
     iterations = [int(n) for n in np.sum([r.iterations for r in results], axis=0)]
     rejected_steps = [int(n) for n in np.sum([r.rejected_steps for r in results], axis=0)]
+    rho_changes = [int(n) for n in np.sum([r.rho_changes for r in results], axis=0)]
     if any(unconverged):
         counts = ", ".join(
             f"{m.kind} lambda={m.lam}: {n} of {len(results)}"
@@ -552,6 +565,7 @@ def run_experiment(
             "unconverged_solves": unconverged,
             "solver_iterations": iterations,
             "rejected_steps": rejected_steps,
+            "rho_changes": rho_changes,
         }
         serialize.dump(manifest, os.path.join(out_dir, "manifest.json"))
     return roc_rows, rmsd_rows
@@ -561,8 +575,8 @@ def sweep_lambda_config(config: ExperimentConfig) -> ExperimentConfig:
     """The campaign config of ``sweep-lambda``: TV and group-LASSO at every
     lambda of the grid in place of the configured methods.
 
-    lambda=0 entries are solved on the plain NNLS path and are labeled by
-    their kind; they coincide with NNLS up to solver tolerance.
+    lambda=0 entries are labeled by their kind and are the plain NNLS
+    solution; run_trial solves it once for both kinds.
     """
     methods = tuple(MethodSpec(kind, lam) for kind in ("tv", "glasso") for lam in config.lambdas)
     return replace(config, methods=methods)

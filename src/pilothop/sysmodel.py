@@ -191,18 +191,29 @@ def generate_code(config: SystemConfig, rng: np.random.Generator) -> np.ndarray:
     rejection-sampled until all rows are distinct, which is equivalent to
     uniform sampling without replacement. SystemConfig guarantees that K
     distinct sequences exist.
+
+    The rows still missing are drawn in one batch, and a drawn row is kept
+    when no earlier row, kept or drawn, equals it; batches repeat until K
+    rows are kept. This is the row-by-row rejection loop in whole arrays,
+    with the same draws. A batch never draws past the row that completes
+    the table: it holds as many rows as are missing, and the loop needs at
+    least that many more draws, so both draw the same number of values.
+    An int64 ``integers`` draw takes the same values from the stream
+    whether it asks for one row or many: below 2**32 each value comes from
+    one 32-bit output, and PCG64 buffers the spare half of a 64-bit output
+    in the generator, not in the call. So the table and the generator's
+    state after it are those of the loop (kept in tests/oracles.py).
     """
-    hops = np.empty((config.K, config.T), dtype=np.int64)
-    seen = set()
-    k = 0
-    while k < config.K:
-        row = rng.integers(1, config.tau_p + 1, size=config.T)
-        key = row.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        hops[k] = row
-        k += 1
+    hops = np.empty((0, config.T), dtype=np.int64)
+    while len(hops) < config.K:
+        batch = rng.integers(1, config.tau_p + 1, size=(config.K - len(hops), config.T))
+        drawn = np.concatenate([hops, batch])
+        # one void item per row, so np.unique compares whole rows; its
+        # first-occurrence indices, sorted, keep the kept rows first and the
+        # new ones in stream order
+        rows = drawn.view(np.dtype((np.void, drawn.itemsize * config.T))).ravel()
+        _, first = np.unique(rows, return_index=True)
+        hops = drawn[np.sort(first)]
     return hops
 
 
@@ -260,10 +271,16 @@ def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
     count = np.searchsorted(sorted_key, target, "right") - start
     i = np.repeat(np.arange(target.size) // offsets.size, count)
     j = order[np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())]
-    close = np.sum((pos[i] - pos[j]) ** 2, axis=1) < r * r
+    # per coordinate: gathering whole (2,) rows costs 3x as much
+    x, y = pos[:, 0], pos[:, 1]
+    dx, dy = x[i] - x[j], y[i] - y[j]
+    close = dx * dx + dy * dy < r * r
     i, j = i[close], j[close]
     by_pair = np.lexsort((j, i))
-    return np.split(j[by_pair], np.searchsorted(i[by_pair], np.arange(1, K)))
+    j = j[by_pair]
+    # plain slices: np.split costs a swapaxes per piece
+    bounds = np.searchsorted(i[by_pair], np.arange(K + 1)).tolist()
+    return [j[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def save_system(path, config, topology, fading, hops, a):

@@ -32,6 +32,23 @@ def measurement_matrix_loop(hops, fading, config):
     return a
 
 
+def generate_code_loop(config, rng):
+    """Row-by-row reference of sysmodel.generate_code: draw one sequence at
+    a time and keep it when no kept row equals it, until K rows are kept."""
+    hops = np.empty((config.K, config.T), dtype=np.int64)
+    seen = set()
+    k = 0
+    while k < config.K:
+        row = rng.integers(1, config.tau_p + 1, size=config.T)
+        key = row.tobytes()
+        if key in seen:
+            continue
+        seen.add(key)
+        hops[k] = row
+        k += 1
+    return hops
+
+
 def kmeans_cluster_loop(points, n_clusters, rng, n_restarts=10, max_iter=300, tol=1e-9):
     """Restart-by-restart reference of detection.kmeans_cluster: k-means++
     seeding through ``rng.choice``, then Lloyd with a loop over clusters, one

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import load_system
-from pilothop import cli, harness, serialize, solvers, sysmodel
+from pilothop import cli, detection, harness, serialize, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
@@ -175,6 +175,40 @@ class TestTrialExecution:
             assert np.array_equal(own.alpha_hat, again.alpha_hat)
             assert own.iterations == again.iterations
         assert shared.converged.all()
+
+    def test_sweep_lambda_solves_nnls_once_per_trial(self, monkeypatch):
+        # methods (tv, 0), (tv, 0.06), (glasso, 0), (glasso, 0.06): TV and
+        # group-LASSO at lambda = 0 are both the plain NNLS problem
+        config = harness.sweep_lambda_config(tiny_experiment(n_trials=2, lambdas=(0.0, 0.06)))
+        ctx = harness.build_context(config)
+        nnls_solve = solvers.nnls_solve
+        calls = []
+
+        def counting(A, y, options):
+            calls.append(y)
+            return nnls_solve(A, y, options)
+
+        monkeypatch.setattr(solvers, "nnls_solve", counting)
+        for t in range(2):
+            calls.clear()
+            shared = harness.run_trial(ctx, t)
+            assert len(calls) == 1
+            # both methods read what a solve of their own gives, and each
+            # localizes on its own K-means streams
+            events, activity, y_norm = harness.simulate_trial(ctx, t)
+            own = nnls_solve(ctx.a_norm, y_norm, config.solver_options())
+            masks, p_m, p_fa = detection.roc_sweep(own.alpha_hat, activity, config.thresholds)
+            for mi in (0, 2):
+                assert np.array_equal(shared.p_m[mi], p_m, equal_nan=True)
+                assert np.array_equal(shared.p_fa[mi], p_fa, equal_nan=True)
+                assert shared.iterations[mi] == own.iterations
+                rmsd = [
+                    detection.localize_events(
+                        ctx.topology.user_positions, mask, events,
+                        harness.stream(config.master_seed, t, harness.KMEANS, mi, ti))
+                    for ti, mask in enumerate(masks)
+                ]
+                assert np.array_equal(shared.rmsd[mi], rmsd)
 
     @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
     def test_a_norm_divides_every_entry(self, quick):
@@ -567,26 +601,30 @@ class TestCli:
         assert capsys.readouterr().err == ""
 
     def test_manifest_sums_solver_work_per_method(self, tmp_path):
-        # quick-scale TV at lambda = 0.06, seed 1: the safeguard undoes steps
+        # quick scale, seed 1: at lambda = 0.06 the safeguard undoes TV
+        # steps, and at lambda = 1 residual balancing changes rho
         path = tmp_path / "config.json"
-        path.write_text('{"schema_version": 1, "methods": '
-                        '[{"kind": "nnls"}, {"kind": "tv", "lambda": 0.06}]}')
+        path.write_text('{"schema_version": 1, "methods": [{"kind": "nnls"}, '
+                        '{"kind": "tv", "lambda": 0.06}, {"kind": "tv", "lambda": 1.0}]}')
         out = tmp_path / "out"
         assert cli.main(["roc", "--quick", "--config", str(path), "--trials", "2",
                          "--seed", "1", "--out", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         ctx = harness.build_context(harness.config_from_dict(manifest["config"]))
-        iterations, rejected = [0, 0], [0, 0]
+        iterations, rejected, rho_changes = [0, 0, 0], [0, 0, 0], [0, 0, 0]
         workspaces = {}
         for t in range(2):
             _, _, y = harness.simulate_trial(ctx, t)
-            for mi in range(2):
+            for mi in range(3):
                 res = harness.solve_method(ctx, mi, y, workspaces)
                 iterations[mi] += res.iterations
                 rejected[mi] += res.rejected_steps
+                rho_changes[mi] += res.rho_changes
         assert manifest["solver_iterations"] == iterations
         assert manifest["rejected_steps"] == rejected
+        assert manifest["rho_changes"] == rho_changes
         assert all(iterations) and rejected[0] == 0 and rejected[1] > 0
+        assert rho_changes[0] == 0 and rho_changes[2] > 0
         # the counts stay out of the curves
         for name, header in (("roc.csv", harness.ROC_HEADER), ("rmsd.csv", harness.RMSD_HEADER)):
             with open(out / name, newline="") as f:

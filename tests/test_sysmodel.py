@@ -1,3 +1,4 @@
+import math
 import time
 import warnings
 from dataclasses import replace
@@ -96,6 +97,7 @@ class TestTopology:
     def test_interior_users_have_nine_neighbors(self, paper_system):
         cfg, topo, _, _, _ = paper_system
         sets = sysmodel.neighbor_sets(topo, cfg.r)
+        assert all(s.dtype == np.int64 for s in sets)
         sizes = np.array([len(s) for s in sets])
         interior = (
             (topo.user_positions[:, 0] > 1.5 / 36)
@@ -202,6 +204,26 @@ class TestPilotHopCode:
         for seed in range(50):
             code = sysmodel.generate_code(cfg, np.random.default_rng(seed))
             assert len({row.tobytes() for row in code}) == 4
+
+    # (K, tau_p, T): the two presets, small grids, odd T, and tables that
+    # take most or all of the code space, so that rows repeat and several
+    # batches are drawn
+    @pytest.mark.parametrize("K, tau_p, T", [
+        (1296, 10, 10), (324, 6, 6), (16, 4, 4), (4, 2, 3), (9, 3, 2), (64, 2, 7),
+    ])
+    def test_matches_row_by_row_loop(self, K, tau_p, T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # (4, 2, 3) has a tall matrix
+            cfg = sysmodel.SystemConfig(K=K, grid_side=math.isqrt(K), tau_p=tau_p, T=T, E=3)
+        for seed in range(20):
+            rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            code = sysmodel.generate_code(cfg, rng)
+            expected = oracles.generate_code_loop(cfg, loop_rng)
+            assert code.dtype == np.int64
+            assert np.array_equal(code, expected)
+            # the same draws: the generator is left in the same state
+            assert rng.bit_generator.state == loop_rng.bit_generator.state
+            assert rng.random() == loop_rng.random()
 
     def test_per_slot_occupancy_uniform(self):
         # chi-square against uniform 1/tau_p per pilot over many draws
