@@ -289,10 +289,7 @@ def build_context(config: ExperimentConfig) -> SystemContext:
             continue
         if neighbors is None:
             neighbors = sysmodel.neighbor_sets(topology, sys_cfg.r)
-        if m.kind == "tv":
-            reg_specs.append(solvers.tv_spec(neighbors, m.lam))
-        else:
-            reg_specs.append(solvers.glasso_spec(neighbors, m.lam))
+        reg_specs.append(solvers.RegularizerSpec(m.kind, *neighbors, m.lam))
     return SystemContext(config, topology, fading, code, a_norm, scale, reg_specs)
 
 
@@ -347,8 +344,8 @@ def solve_method(
     """Activity estimate of one configured method: NNLS when it has no
     regularizer, else ADMM on a workspace built on first use and kept in
     ``workspaces`` under the regularizer kind. A workspace does not depend
-    on lambda, and every method of a kind has the same groups, so methods
-    that differ only in lambda share one."""
+    on lambda, and all specs hold the same (indptr, members) pair, so
+    methods that differ only in lambda share one."""
     options = ctx.config.solver_options()
     reg = ctx.reg_specs[method_index]
     if reg is None:

@@ -91,34 +91,34 @@ def _dot(u, v) -> float:
 class RegularizerSpec:
     """Group structure and strength of the activity regularizer.
 
-    kind=GLASSO: B_j selects the coordinates in groups[j].
-    kind=TV: groups[j] is the neighbor set of user j and B_j stacks the
-    differences x_j - x_i for i in groups[j], i != j (the self-difference
-    is identically zero and excluded).
+    Group j is the int64 slice members[indptr[j]:indptr[j + 1]], the
+    packing ``sysmodel.neighbor_sets`` returns.
+    kind=GLASSO: B_j selects the coordinates of group j.
+    kind=TV: group j is the neighbor set of user j and B_j stacks the
+    differences x_j - x_i for i in it, i != j (the self-difference is
+    identically zero and excluded).
     """
 
     kind: str
-    groups: tuple = ()
-    lam: float = 0.0
+    indptr: np.ndarray
+    members: np.ndarray
+    lam: float
 
     def __post_init__(self):
         if self.kind not in (GLASSO, TV):
             raise ConfigurationError(f"unknown regularizer kind {self.kind!r}")
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ConfigurationError(f"lambda must be finite and >= 0, got {self.lam}")
-        if not self.groups:
+        for name in ("indptr", "members"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.ndim == 1 and a.dtype == np.int64):
+                raise ConfigurationError(f"{name} must be a 1-D int64 array")
+        if self.indptr.size < 2:
             raise ConfigurationError("regularizer needs at least one group")
-        for j, g in enumerate(self.groups):
-            if len(g) == 0:
-                raise ConfigurationError(f"group {j} is empty")
-
-
-def glasso_spec(groups, lam: float) -> RegularizerSpec:
-    return RegularizerSpec(GLASSO, tuple(np.asarray(g, dtype=np.int64) for g in groups), lam)
-
-
-def tv_spec(neighbor_sets, lam: float) -> RegularizerSpec:
-    return RegularizerSpec(TV, tuple(np.asarray(g, dtype=np.int64) for g in neighbor_sets), lam)
+        if self.indptr[0] != 0 or self.indptr[-1] != self.members.size:
+            raise ConfigurationError("indptr must run from 0 to members.size")
+        if np.any(np.diff(self.indptr) <= 0):
+            raise ConfigurationError("indptr must increase strictly: no group may be empty")
 
 
 @dataclass(frozen=True)
@@ -189,11 +189,11 @@ def build_group_operator(reg: RegularizerSpec, n: int):
     of a (width, groups) view of B x; rows past a group's own are empty.
     A group-LASSO row selects one member of its group; a TV row of group
     j is e_j - e_i for a member i != j. Column indices are sorted within
-    each row.
+    each row. The rows come from reg.members in order, with no loop over groups.
     """
-    groups = len(reg.groups)
-    members = np.concatenate(reg.groups)
-    owner = np.repeat(np.arange(groups), [len(g) for g in reg.groups])
+    groups = reg.indptr.size - 1
+    members = reg.members
+    owner = np.repeat(np.arange(groups), np.diff(reg.indptr))
     if reg.kind == GLASSO:
         row_owner, indices, data, per_row = owner, members, np.ones(members.size), 1
     else:
@@ -254,7 +254,7 @@ class RegularizedWorkspace:
         A, _ = _check_problem(A, np.zeros(A.shape[0]))
         self.n = n = A.shape[1]
         B = build_group_operator(reg, n)
-        self.n_groups = len(reg.groups)
+        self.n_groups = reg.indptr.size - 1
         self.width = B.shape[0] // self.n_groups
         self.m_groups = int(np.count_nonzero(np.diff(B.indptr)))
         # the identity block appends the non-negativity copy u = x
@@ -277,7 +277,7 @@ class RegularizedWorkspace:
             self.G = A @ W
         self.A = A
         self.W = W
-        self.kind = reg.kind
+        self.kind, self.indptr, self.members = reg.kind, reg.indptr, reg.members
         self._factors: dict[float, np.ndarray] = {}
 
     def factor(self, rho: float) -> np.ndarray:
@@ -391,11 +391,10 @@ def regularized_solve(
     memory of 20 and the factor of 4 take about 4.8x fewer iterations than
     plain ADMM.
 
-    A workspace passed in must have been built for reg's kind, its number
-    of groups and A's shape; otherwise ConfigurationError is raised. The
-    check does not compare group members or the entries of A, so a
-    workspace built for other groups of the same count, or for another A
-    of the same shape, still goes undetected and solves the wrong problem.
+    A workspace passed in must have been built for reg's kind, its groups
+    (indptr and members) and A (shape, indptr, indices and data);
+    otherwise ConfigurationError is raised. The comparison reads about
+    40000 elements at paper scale, tens of microseconds against a solve.
 
     The solve runs on y and lambda divided by unit, the power of two that
     brings max(|2 A^T y|, lambda) into [1, 2), with the abs_tol floors of
@@ -417,10 +416,13 @@ def regularized_solve(
     if workspace is None:
         workspace = RegularizedWorkspace(A, reg, options)
     ws = workspace
-    if (ws.kind, ws.n_groups, ws.A.shape) != (reg.kind, len(reg.groups), A.shape):
+    built = (ws.indptr, ws.members, ws.A.indptr, ws.A.indices, ws.A.data)
+    given = (reg.indptr, reg.members, A.indptr, A.indices, A.data)
+    if (ws.kind, ws.A.shape) != (reg.kind, A.shape) or not all(map(np.array_equal, built, given)):
         raise ConfigurationError(
             f"workspace built for {ws.kind} with {ws.n_groups} groups and A{ws.A.shape}, "
-            f"solving {reg.kind} with {len(reg.groups)} groups and A{A.shape}"
+            f"solving {reg.kind} with {reg.indptr.size - 1} groups and A{A.shape}: "
+            "the kind, the groups and the entries of A must all be equal"
         )
     n = ws.n
     Aty2 = 2.0 * (A.T @ y)
@@ -581,7 +583,7 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
 
     B = build_group_operator(reg, x.shape[0])
     Bx = B @ x
-    groups = len(reg.groups)
+    groups = reg.indptr.size - 1
     norms = np.linalg.norm(Bx.reshape(-1, groups), axis=0)
     # groups whose difference norm is at numerical-noise level are treated
     # as inactive (ball-constrained); fixing a direction from noise would
@@ -603,15 +605,13 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     L = float(Bf.multiply(Bf).sum())  # Frobenius bound on sigma_max^2
     eta = 1.0 / max(L, 1e-12)
     v = np.zeros(Bf.shape[0])
-    uniq, inv = np.unique(group_of_row[free], return_inverse=True)
+    free_group = group_of_row[free]
     for _ in range(inner_iters):
         s = g_fixed + Bf.T @ v
         grad = Bf @ restricted(s)
         v = v - eta * grad
         # project each group's v back into its ball
-        sq = np.zeros(len(uniq))
-        np.add.at(sq, inv, v * v)
-        gn = np.sqrt(sq)[inv]
+        gn = np.sqrt(np.bincount(free_group, v * v, groups))[free_group]
         over = gn > reg.lam
         if np.any(over):
             v = np.where(over, v * (reg.lam / np.maximum(gn, 1e-300)), v)

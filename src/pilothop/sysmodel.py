@@ -243,8 +243,10 @@ def build_system(config: SystemConfig, rng: np.random.Generator,
     return topology, fading, hops, build_measurement_matrix(hops, fading, config)
 
 
-def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
-    """N(k) = indices of users strictly within distance r of user k (self included).
+def neighbor_sets(topology: Topology, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """N(k) = indices of users strictly within distance r of user k (self
+    included), packed as (indptr, members): N(k) is the ascending int64
+    slice members[indptr[k]:indptr[k + 1]], and indptr has K + 1 entries.
 
     Users are bucketed into square cells of side >= r, so the neighbors of
     a user lie in the 3x3 block of cells around its own; every candidate
@@ -277,10 +279,7 @@ def neighbor_sets(topology: Topology, r: float) -> list[np.ndarray]:
     close = dx * dx + dy * dy < r * r
     i, j = i[close], j[close]
     by_pair = np.lexsort((j, i))
-    j = j[by_pair]
-    # plain slices: np.split costs a swapaxes per piece
-    bounds = np.searchsorted(i[by_pair], np.arange(K + 1)).tolist()
-    return [j[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.searchsorted(i[by_pair], np.arange(K + 1)), j[by_pair]
 
 
 def save_system(path, config, topology, fading, hops, a):

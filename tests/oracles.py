@@ -8,13 +8,37 @@ from pilothop import detection, simulator, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
 
+def pack(groups):
+    """(indptr, members) of a list of int groups: the packing that
+    sysmodel.neighbor_sets returns and solvers.RegularizerSpec holds."""
+    indptr = np.zeros(len(groups) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([len(g) for g in groups])
+    members = np.array([i for g in groups for i in g], dtype=np.int64)
+    return indptr, members
+
+
+def unpack(reg: solvers.RegularizerSpec) -> list[np.ndarray]:
+    """reg's groups as a list of member arrays, for references that loop
+    over the groups one at a time."""
+    return np.split(reg.members, reg.indptr[1:-1])
+
+
+def chain_neighbors(n):
+    """Each coordinate grouped with its lattice neighbors, self included."""
+    return pack([sorted({j, max(j - 1, 0), min(j + 1, n - 1)}) for j in range(n)])
+
+
+def contiguous_groups(n, size):
+    return pack([range(i, min(i + size, n)) for i in range(0, n, size)])
+
+
 def regularizer_value(reg: solvers.RegularizerSpec | None, x: np.ndarray) -> float:
     """lambda * sum_j ||B_j x||_2 for the given regularizer; 0 for None (NNLS)."""
     if reg is None or reg.lam == 0.0:
         return 0.0
     x = np.asarray(x, dtype=float)
     Bx = solvers.build_group_operator(reg, x.shape[0]) @ x
-    return reg.lam * float(np.linalg.norm(Bx.reshape(-1, len(reg.groups)), axis=0).sum())
+    return reg.lam * float(np.linalg.norm(Bx.reshape(-1, reg.indptr.size - 1), axis=0).sum())
 
 
 def objective_value(A, y, reg: solvers.RegularizerSpec | None, x) -> float:
@@ -235,7 +259,7 @@ def subgradient_oracle(
     n = A.shape[1]
     x = np.zeros(n) if x0 is None else np.maximum(0.0, np.asarray(x0, dtype=float))
     B = solvers.build_group_operator(reg, n)
-    groups = len(reg.groups)
+    groups = reg.indptr.size - 1
 
     def full_objective(v):
         return objective_value(A, y, reg, v)

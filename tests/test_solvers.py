@@ -11,7 +11,10 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse as sp
 
-from oracles import nnls_fista_dense, objective_value, regularizer_value, subgradient_oracle
+from oracles import (
+    chain_neighbors, contiguous_groups, nnls_fista_dense, objective_value, pack,
+    regularizer_value, subgradient_oracle, unpack,
+)
 from pilothop import harness, solvers, sysmodel
 from pilothop.errors import ConfigurationError
 
@@ -25,33 +28,35 @@ def random_instance(rng, m=12, n=8, k=3, noise=0.05):
     return A, y, x
 
 
-def chain_neighbors(n):
-    """Each coordinate grouped with its lattice neighbors, self included."""
-    return [
-        np.array(sorted({j, max(j - 1, 0), min(j + 1, n - 1)}))
-        for j in range(n)
-    ]
-
-
-def contiguous_groups(n, size):
-    return [np.arange(i, min(i + size, n)) for i in range(0, n, size)]
-
-
 TIGHT = solvers.SolverOptions(rel_tol=1e-9, abs_tol=1e-12)
 
 
 class TestSpecValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigurationError):
-            solvers.RegularizerSpec("ridge")
+            solvers.RegularizerSpec("ridge", *contiguous_groups(2, 1), 0.1)
 
     def test_rejects_negative_lambda(self):
         with pytest.raises(ConfigurationError):
-            solvers.glasso_spec([np.array([0])], -0.1)
+            solvers.RegularizerSpec("glasso", *pack([[0]]), -0.1)
 
-    def test_rejects_empty_group(self):
+    @pytest.mark.parametrize(
+        "indptr, members",
+        [
+            (np.arange(1, 4), np.arange(3)),
+            (np.arange(3), np.arange(3)),
+            (np.array([0, 2, 1, 3]), np.arange(3)),
+            (np.array([0, 1, 1, 3]), np.arange(3)),
+            (np.zeros(1, dtype=np.int64), np.arange(0)),
+            (np.array([0, 2]), np.arange(2).reshape(2, 1)),
+            (np.array([0, 2]), np.arange(2.0)),
+        ],
+        ids=["start", "end", "decreasing", "empty-group", "no-group", "2d-members",
+             "float-members"],
+    )
+    def test_rejects_malformed_groups(self, indptr, members):
         with pytest.raises(ConfigurationError):
-            solvers.glasso_spec([np.array([], dtype=np.int64)], 0.1)
+            solvers.RegularizerSpec("glasso", indptr, members, 0.1)
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
@@ -83,15 +88,15 @@ class TestOptionsValidation:
     @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
     def test_spec_rejects_non_finite_lambda(self, lam):
         with pytest.raises(ConfigurationError, match="lambda"):
-            solvers.tv_spec(chain_neighbors(4), lam)
+            solvers.RegularizerSpec("tv", *chain_neighbors(4), lam)
         with pytest.raises(ConfigurationError, match="lambda"):
-            solvers.glasso_spec(contiguous_groups(4, 2), lam)
+            solvers.RegularizerSpec("glasso", *contiguous_groups(4, 2), lam)
 
 
 def dense_penalty_gram(reg, n):
     """B^T B built entry by entry from the group definition."""
     BtB = np.zeros((n, n))
-    for j, g in enumerate(reg.groups):
+    for j, g in enumerate(unpack(reg)):
         for i in g:
             if reg.kind == solvers.GLASSO:
                 BtB[i, i] += 1.0
@@ -105,9 +110,10 @@ def dense_penalty_gram(reg, n):
 def loop_group_operator(reg, n):
     """build_group_operator written as a loop over the stacked rows."""
     rows, cols, vals = [], [], []
-    groups = len(reg.groups)
+    sets = unpack(reg)
+    groups = len(sets)
     width = 0
-    for j, g in enumerate(reg.groups):
+    for j, g in enumerate(sets):
         s = 0  # the group's next row is padded row s*groups + j
         for i in g:
             row = s * groups + j
@@ -136,8 +142,7 @@ class TestGroupOperator:
     def test_matches_loop(self, kind, side, r):
         cfg = sysmodel.SystemConfig(K=side * side, grid_side=side, T=6)
         topo = sysmodel.build_topology(cfg)
-        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(
-            sysmodel.neighbor_sets(topo, r), 0.06)
+        reg = solvers.RegularizerSpec(kind, *sysmodel.neighbor_sets(topo, r), 0.06)
         B = solvers.build_group_operator(reg, side * side)
         B_ref = loop_group_operator(reg, side * side)
         assert B.shape == B_ref.shape
@@ -151,12 +156,12 @@ def grid_neighbors(side):
     sets = []
     for k in range(side * side):
         r, c = divmod(k, side)
-        sets.append(np.array(sorted(
+        sets.append(sorted(
             rr * side + cc
             for rr in range(max(r - 1, 0), min(r + 2, side))
             for cc in range(max(c - 1, 0), min(c + 2, side))
-        )))
-    return sets
+        ))
+    return pack(sets)
 
 
 class TestXUpdate:
@@ -168,14 +173,14 @@ class TestXUpdate:
             ("tv", grid_neighbors(6), 10, 36),
             ("glasso", grid_neighbors(6), 10, 36),
             # B has no rows, so B^T B + I = I
-            ("tv", [np.array([j]) for j in range(20)], 10, 20),
+            ("tv", pack([[j] for j in range(20)]), 10, 20),
         ],
         ids=["tv-tall", "glasso-tall", "tv-wide", "glasso-wide", "tv-singletons"],
     )
     def test_matches_dense_solve(self, kind, groups, m, n):
         rng = np.random.default_rng(m * n)
         A = np.abs(rng.standard_normal((m, n)))
-        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, 0.1)
+        reg = solvers.RegularizerSpec(kind, *groups, 0.1)
         ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
         M = dense_penalty_gram(reg, n) + np.eye(n)
         for k in range(-6, 7):
@@ -190,7 +195,7 @@ class TestXUpdate:
         # factor per rho) peaks at 81 MB here
         cfg = sysmodel.SystemConfig()
         topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(0))
-        reg = solvers.tv_spec(sysmodel.neighbor_sets(topo, cfg.r), 0.06)
+        reg = solvers.RegularizerSpec("tv", *sysmodel.neighbor_sets(topo, cfg.r), 0.06)
         A = a / a.max()
         tracemalloc.start()
         try:
@@ -208,7 +213,8 @@ class TestXUpdate:
         config = harness.ExperimentConfig(master_seed=1000)
         ctx = harness.build_context(config)
         _, _, y = harness.simulate_trial(ctx, 0)
-        reg = solvers.glasso_spec(sysmodel.neighbor_sets(ctx.topology, config.system.r), 0.06)
+        reg = solvers.RegularizerSpec(
+            "glasso", *sysmodel.neighbor_sets(ctx.topology, config.system.r), 0.06)
         options = config.solver_options()
         ws = solvers.RegularizedWorkspace(ctx.a_norm, reg, options)
         ws.factor(options.rho)
@@ -228,7 +234,7 @@ class TestXUpdate:
         cfg = sysmodel.SystemConfig(**(harness.QUICK_SYSTEM if quick else {}))
         topo, _, _, a = sysmodel.build_system(cfg, np.random.default_rng(0))
         A = a / a.max()
-        reg = solvers.glasso_spec(sysmodel.neighbor_sets(topo, cfg.r), 0.06)
+        reg = solvers.RegularizerSpec("glasso", *sysmodel.neighbor_sets(topo, cfg.r), 0.06)
         ws = solvers.RegularizedWorkspace(A, reg, solvers.SolverOptions())
         m_diag = np.diag(dense_penalty_gram(reg, cfg.K)) + 1.0
         chol = scipy.linalg.cholesky_banded(m_diag[None, :], lower=True)
@@ -255,7 +261,8 @@ def reference_admm(A, y, reg, options):
     A = A.toarray() if sp.issparse(A) else A
     n = A.shape[1]
     rows, owner = [], []
-    for j, g in enumerate(reg.groups):
+    groups = unpack(reg)
+    for j, g in enumerate(groups):
         for i in g:
             row = np.zeros(n)
             if reg.kind == solvers.GLASSO:
@@ -292,7 +299,7 @@ def reference_admm(A, y, reg, options):
         z_old = z
         z = np.maximum(0.0, w)
         wg = w[:m_groups]
-        norms = np.sqrt(np.bincount(owner, wg * wg, minlength=len(reg.groups)))
+        norms = np.sqrt(np.bincount(owner, wg * wg, minlength=len(groups)))
         scale = np.maximum(0.0, 1.0 - (theta / rho) / np.maximum(norms, 1e-300))
         z[:m_groups] = wg * scale[owner]
         u = u + relaxed - z
@@ -333,8 +340,7 @@ def quick_scale_problem(kind, lam):
     ctx = harness.build_context(config)
     _, _, y = harness.simulate_trial(ctx, 0)
     groups = sysmodel.neighbor_sets(ctx.topology, config.system.r)
-    reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, lam)
-    return ctx.a_norm, y, reg
+    return ctx.a_norm, y, solvers.RegularizerSpec(kind, *groups, lam)
 
 
 class TestReferenceLoop:
@@ -390,8 +396,7 @@ class TestReferenceLoop:
         alpha = np.zeros(cfg.K)
         alpha[[18, 19, 26, 27, 45]] = 1.0
         y = A @ alpha + 0.05 * rng.standard_normal(A.shape[0])
-        groups = sysmodel.neighbor_sets(topo, r)
-        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(groups, 0.06)
+        reg = solvers.RegularizerSpec(kind, *sysmodel.neighbor_sets(topo, r), 0.06)
         # with singleton sets the problem is NNLS with 16 rows and 64
         # columns: its minimizer is not unique, so alpha_hat is not compared
         self.check_optimum(A, y, reg, solvers.SolverOptions(), unique=r > 0.1)
@@ -583,7 +588,7 @@ class TestRegularizedSolve:
     def test_lambda_zero_reduces_to_nnls(self):
         rng = np.random.default_rng(3)
         A, y, _ = random_instance(rng)
-        reg = solvers.tv_spec(chain_neighbors(A.shape[1]), 0.0)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(A.shape[1]), 0.0)
         res_r = solvers.regularized_solve(A, y, reg, TIGHT)
         res_n = solvers.nnls_solve(A, y, TIGHT)
         f_r, f_n = (objective_value(A, y, None, r.alpha_hat) for r in (res_r, res_n))
@@ -593,7 +598,7 @@ class TestRegularizedSolve:
         rng = np.random.default_rng(4)
         A, y, _ = random_instance(rng)
         lam = 100.0 * np.linalg.norm(2.0 * A.T @ y)
-        reg = solvers.glasso_spec(contiguous_groups(A.shape[1], 2), lam)
+        reg = solvers.RegularizerSpec("glasso", *contiguous_groups(A.shape[1], 2), lam)
         res = solvers.regularized_solve(A, y, reg, TIGHT)
         assert np.array_equal(res.alpha_hat, np.zeros(A.shape[1]))
 
@@ -602,7 +607,7 @@ class TestRegularizedSolve:
         rng = np.random.default_rng(5)
         A, y, _ = random_instance(rng, noise=0.0)
         n = A.shape[1]
-        reg = solvers.tv_spec(chain_neighbors(n), 1e6)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(n), 1e6)
         res = solvers.regularized_solve(A, y, reg, TIGHT)
         ones = np.ones(n)
         c = max(0.0, float((A @ ones) @ y) / float((A @ ones) @ (A @ ones)))
@@ -613,10 +618,8 @@ class TestRegularizedSolve:
         for kind in ("tv", "glasso"):
             A, y, _ = random_instance(rng)
             n = A.shape[1]
-            if kind == "tv":
-                reg = solvers.tv_spec(chain_neighbors(n), 0.3)
-            else:
-                reg = solvers.glasso_spec(contiguous_groups(n, 2), 0.3)
+            groups = chain_neighbors(n) if kind == "tv" else contiguous_groups(n, 2)
+            reg = solvers.RegularizerSpec(kind, *groups, 0.3)
             res = solvers.regularized_solve(A, y, reg, TIGHT)
             _, f_oracle = subgradient_oracle(A, y, reg, 20_000, x0=res.alpha_hat * 0)
             f_admm = objective_value(A, y, reg, res.alpha_hat)
@@ -626,7 +629,7 @@ class TestRegularizedSolve:
     def test_kkt_residual_small_at_solution(self):
         rng = np.random.default_rng(7)
         A, y, _ = random_instance(rng)
-        reg = solvers.tv_spec(chain_neighbors(A.shape[1]), 0.2)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(A.shape[1]), 0.2)
         res = solvers.regularized_solve(A, y, reg, TIGHT)
         scale = np.linalg.norm(2.0 * A.T @ y)
         assert solvers.kkt_residual(A, y, reg, res.alpha_hat) < 1e-5 * scale
@@ -634,7 +637,7 @@ class TestRegularizedSolve:
     def test_kkt_residual_large_off_solution(self):
         rng = np.random.default_rng(8)
         A, y, x = random_instance(rng)
-        reg = solvers.tv_spec(chain_neighbors(A.shape[1]), 0.2)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(A.shape[1]), 0.2)
         bad = np.abs(x) + 1.0
         scale = np.linalg.norm(2.0 * A.T @ y)
         assert solvers.kkt_residual(A, y, reg, bad) > 1e-3 * scale
@@ -645,10 +648,10 @@ class TestRegularizedSolve:
         groups = chain_neighbors(A.shape[1])
         prev = np.inf
         for lam in (0.05, 0.2, 0.8, 3.2):
-            reg = solvers.tv_spec(groups, lam)
+            reg = solvers.RegularizerSpec("tv", *groups, lam)
             res = solvers.regularized_solve(A, y, reg, TIGHT)
             # penalty measured at unit strength for comparability
-            unit = regularizer_value(solvers.tv_spec(groups, 1.0), res.alpha_hat)
+            unit = regularizer_value(solvers.RegularizerSpec("tv", *groups, 1.0), res.alpha_hat)
             assert unit <= prev + 1e-7
             prev = unit
 
@@ -656,7 +659,7 @@ class TestRegularizedSolve:
         rng = np.random.default_rng(10)
         A, y1, _ = random_instance(rng)
         _, y2, _ = random_instance(rng)
-        reg = solvers.glasso_spec(contiguous_groups(A.shape[1], 2), 0.3)
+        reg = solvers.RegularizerSpec("glasso", *contiguous_groups(A.shape[1], 2), 0.3)
         ws = solvers.RegularizedWorkspace(A, reg, TIGHT)
         a_shared = [
             solvers.regularized_solve(A, y, reg, TIGHT, workspace=ws).alpha_hat
@@ -669,29 +672,35 @@ class TestRegularizedSolve:
             assert np.array_equal(s, f)
 
     @pytest.mark.parametrize(
-        "ws_kind, ws_groups, ws_n, kind, groups, n",
+        "ws_kind, ws_groups, ws_n, ws_scale, kind, groups, n",
         [
-            ("glasso", chain_neighbors(8), 8, "tv", chain_neighbors(8), 8),
-            ("glasso", contiguous_groups(8, 2), 8, "glasso", contiguous_groups(8, 4), 8),
-            ("glasso", contiguous_groups(8, 2), 8, "glasso", contiguous_groups(10, 3), 10),
+            ("glasso", chain_neighbors(8), 8, 1.0, "tv", chain_neighbors(8), 8),
+            ("glasso", contiguous_groups(8, 2), 8, 1.0, "glasso", contiguous_groups(8, 4), 8),
+            ("glasso", contiguous_groups(8, 2), 8, 1.0, "glasso", contiguous_groups(10, 3), 10),
+            # chain_neighbors(8) with group 3's member 4 swapped for 5
+            ("tv", chain_neighbors(8), 8, 1.0, "tv", pack(
+                [[0, 1], [0, 1, 2], [1, 2, 3], [2, 3, 5], [3, 4, 5], [4, 5, 6], [5, 6, 7], [6, 7]]
+            ), 8),
+            ("tv", chain_neighbors(8), 8, 2.0, "tv", chain_neighbors(8), 8),
         ],
-        ids=["kind", "group-count", "width"],
+        ids=["kind", "group-count", "width", "members", "entries-of-a"],
     )
     def test_rejects_a_workspace_built_for_another_problem(
-        self, ws_kind, ws_groups, ws_n, kind, groups, n
+        self, ws_kind, ws_groups, ws_n, ws_scale, kind, groups, n
     ):
         rng = np.random.default_rng(12)
-        spec = {"tv": solvers.tv_spec, "glasso": solvers.glasso_spec}
         A = np.abs(rng.standard_normal((12, max(ws_n, n))))
-        ws = solvers.RegularizedWorkspace(A[:, :ws_n], spec[ws_kind](ws_groups, 0.1), TIGHT)
+        ws = solvers.RegularizedWorkspace(
+            ws_scale * A[:, :ws_n], solvers.RegularizerSpec(ws_kind, *ws_groups, 0.1), TIGHT)
         y = rng.standard_normal(12)
+        reg = solvers.RegularizerSpec(kind, *groups, 0.1)
         with pytest.raises(ConfigurationError, match="workspace built for"):
-            solvers.regularized_solve(A[:, :n], y, spec[kind](groups, 0.1), TIGHT, workspace=ws)
+            solvers.regularized_solve(A[:, :n], y, reg, TIGHT, workspace=ws)
 
     def test_outputs_exactly_nonnegative_and_snapped(self):
         rng = np.random.default_rng(11)
         A, y, _ = random_instance(rng)
-        reg = solvers.tv_spec(chain_neighbors(A.shape[1]), 0.1)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(A.shape[1]), 0.1)
         res = solvers.regularized_solve(A, y, reg)
         assert np.all(res.alpha_hat >= 0.0)
         nz = res.alpha_hat[res.alpha_hat > 0]
@@ -703,7 +712,7 @@ class TestRegularizedSolve:
 def loop_regularizer_value(reg, x):
     """regularizer_value written as a loop over the groups."""
     total = 0.0
-    for k, g in enumerate(reg.groups):
+    for k, g in enumerate(unpack(reg)):
         if reg.kind == solvers.GLASSO:
             total += np.linalg.norm(x[g])
         else:
@@ -724,8 +733,7 @@ class TestRegularizerValue:
         cfg = sysmodel.SystemConfig(K=side * side, grid_side=side, T=6)
         topo = sysmodel.build_topology(cfg)
         rng = np.random.default_rng(side)
-        reg = (solvers.tv_spec if kind == "tv" else solvers.glasso_spec)(
-            sysmodel.neighbor_sets(topo, r), 0.06)
+        reg = solvers.RegularizerSpec(kind, *sysmodel.neighbor_sets(topo, r), 0.06)
         x = np.where(rng.random(side * side) < 0.2, rng.uniform(0.0, 1.5, side * side), 0.0)
         got = regularizer_value(reg, x)
         want = loop_regularizer_value(reg, x)
@@ -735,12 +743,12 @@ class TestRegularizerValue:
 
     def test_glasso_by_hand(self):
         x = np.array([3.0, 4.0, 1.0])
-        reg = solvers.glasso_spec([np.array([0, 1]), np.array([2])], 2.0)
+        reg = solvers.RegularizerSpec("glasso", *pack([[0, 1], [2]]), 2.0)
         assert regularizer_value(reg, x) == pytest.approx(2.0 * (5.0 + 1.0))
 
     def test_tv_by_hand(self):
         # neighbors {j-1, j, j+1}: sqrt sums of squared forward/backward gaps
         x = np.array([1.0, 2.0, 4.0])
-        reg = solvers.tv_spec(chain_neighbors(3), 1.0)
+        reg = solvers.RegularizerSpec("tv", *chain_neighbors(3), 1.0)
         expected = 1.0 + np.sqrt(1.0 + 4.0) + 2.0
         assert regularizer_value(reg, x) == pytest.approx(expected)

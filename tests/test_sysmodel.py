@@ -96,9 +96,9 @@ class TestTopology:
 
     def test_interior_users_have_nine_neighbors(self, paper_system):
         cfg, topo, _, _, _ = paper_system
-        sets = sysmodel.neighbor_sets(topo, cfg.r)
-        assert all(s.dtype == np.int64 for s in sets)
-        sizes = np.array([len(s) for s in sets])
+        indptr, members = sysmodel.neighbor_sets(topo, cfg.r)
+        assert indptr.dtype == members.dtype == np.int64
+        sizes = np.diff(indptr)
         interior = (
             (topo.user_positions[:, 0] > 1.5 / 36)
             & (topo.user_positions[:, 0] < 1 - 1.5 / 36)
@@ -119,11 +119,11 @@ class TestTopology:
         pos = topo.user_positions
         d2 = np.sum((pos[:, None, :] - pos[None, :, :]) ** 2, axis=2)
         expected = [np.flatnonzero(row < r * r) for row in d2]
-        sets = sysmodel.neighbor_sets(topo, r)
-        assert len(sets) == len(expected)
-        for got, want in zip(sets, expected):
-            assert got.dtype == np.int64
-            assert np.array_equal(got, want)
+        indptr, members = sysmodel.neighbor_sets(topo, r)
+        assert indptr.dtype == members.dtype == np.int64
+        assert indptr.size == len(expected) + 1 and indptr[-1] == members.size
+        for k, want in enumerate(expected):
+            assert np.array_equal(members[indptr[k]:indptr[k + 1]], want)
 
     @pytest.mark.parametrize("r", [0.0, -0.05, float("nan")])
     def test_neighbor_sets_reject_bad_radius(self, paper_system, r):
