@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from . import detection, harness, serialize, sysmodel
+from . import detection, harness, sysmodel
 from .errors import ConfigurationError, NumericalError
 
 
@@ -67,11 +67,10 @@ def cmd_topology(args):
 def cmd_simulate(args):
     config = _load_config(args)
     ctx = harness.build_context(config)
-    trial_dir = os.path.join(config.output_dir, "trials")
-    os.makedirs(trial_dir, exist_ok=True)
-    for i in range(config.n_trials):
-        dump = harness.trial_dump(ctx, i, *harness.simulate_trial(ctx, i))
-        serialize.dump(dump, os.path.join(trial_dir, f"trial_{i:05d}.json"))
+    trial_dir = harness.write_trial_dumps(config.output_dir, (
+        harness.trial_dump(ctx, i, *harness.simulate_trial(ctx, i))
+        for i in range(config.n_trials)
+    ))
     print(f"wrote {config.n_trials} trial dumps to {trial_dir}")
     return 0
 

@@ -338,6 +338,17 @@ def trial_dump(ctx: SystemContext, trial_index: int, events, activity, y_norm) -
     }
 
 
+def write_trial_dumps(out_dir, dumps) -> str:
+    """Each trial_dump as trials/trial_{trial_index:05d}.json under out_dir,
+    the layout of `simulate` and --dump-trials; returns the trials directory."""
+    trial_dir = os.path.join(out_dir, "trials")
+    os.makedirs(trial_dir, exist_ok=True)
+    for d in dumps:
+        idx = d["seed"]["trial_index"]
+        serialize.dump(d, os.path.join(trial_dir, f"trial_{idx:05d}.json"))
+    return trial_dir
+
+
 def solve_method(
     ctx: SystemContext, method_index: int, y_norm: np.ndarray, workspaces: dict
 ) -> solvers.SolverResult:
@@ -514,11 +525,7 @@ def emit_results(
     write_csv(os.path.join(out_dir, "roc.csv"), ROC_HEADER, roc_rows)
     write_csv(os.path.join(out_dir, "rmsd.csv"), RMSD_HEADER, rmsd_rows)
     if dumps:
-        trial_dir = os.path.join(out_dir, "trials")
-        os.makedirs(trial_dir, exist_ok=True)
-        for d in dumps:
-            idx = d["seed"]["trial_index"]
-            serialize.dump(d, os.path.join(trial_dir, f"trial_{idx:05d}.json"))
+        write_trial_dumps(out_dir, dumps)
 
 
 def run_experiment(

@@ -75,6 +75,8 @@ ANDERSON_MEMORY = 20
 SAFEGUARD_GROWTH = 4.0
 # ADMM relaxation parameter, in (0, 2)
 OVER_RELAX = 1.8
+# projected-gradient steps of the KKT certificate's minimal-norm subgradient
+KKT_INNER_ITERS = 4000
 
 _posv = scipy.linalg.lapack.dposv
 _sgemv = scipy.linalg.blas.sgemv
@@ -87,7 +89,7 @@ def _dot(u, v) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegularizerSpec:
     """Group structure and strength of the activity regularizer.
 
@@ -97,6 +99,7 @@ class RegularizerSpec:
     kind=TV: group j is the neighbor set of user j and B_j stacks the
     differences x_j - x_i for i in it, i != j (the self-difference is
     identically zero and excluded).
+    Specs compare and hash by identity: arrays have no single truth value.
     """
 
     kind: str
@@ -564,13 +567,14 @@ def regularized_solve(
     return SolverResult(alpha, it, converged, rejected, rho_changes)
 
 
-def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int):
+def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x):
     """Minimal-norm orthant-restricted subgradient via projected gradient.
 
     The smooth and active-group parts of the subgradient are fixed; for
     groups with B_j x = 0 the subgradient contribution B_j^T v_j ranges
     over the ball ||v_j|| <= lam, and we minimize the restricted
-    residual norm over those v_j. reg=None is plain NNLS.
+    residual norm over those v_j by KKT_INNER_ITERS projected-gradient
+    steps. reg=None is plain NNLS.
     """
     g0 = 2.0 * (A.T @ (A @ x - y))
     pos = x > 0.0
@@ -606,7 +610,7 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     eta = 1.0 / max(L, 1e-12)
     v = np.zeros(Bf.shape[0])
     free_group = group_of_row[free]
-    for _ in range(inner_iters):
+    for _ in range(KKT_INNER_ITERS):
         s = g_fixed + Bf.T @ v
         grad = Bf @ restricted(s)
         v = v - eta * grad
@@ -618,7 +622,7 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x, inner_iters: int
     return np.linalg.norm(restricted(g_fixed + Bf.T @ v))
 
 
-def kkt_residual(A, y, reg: RegularizerSpec | None, alpha_hat, inner_iters: int = 4000) -> float:
+def kkt_residual(A, y, reg: RegularizerSpec | None, alpha_hat) -> float:
     """Norm of the minimal orthant-restricted subgradient at alpha_hat.
 
     Zero iff alpha_hat is optimal: coordinates with alpha>0 need a zero
@@ -628,5 +632,5 @@ def kkt_residual(A, y, reg: RegularizerSpec | None, alpha_hat, inner_iters: int 
     x = np.asarray(alpha_hat, dtype=float)
     if np.any(x < 0):
         raise ValueError("alpha_hat must be non-negative")
-    return float(_min_norm_subgradient(A, y, reg, x, inner_iters))
+    return float(_min_norm_subgradient(A, y, reg, x))
 

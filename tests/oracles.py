@@ -2,6 +2,7 @@
 import json
 
 import numpy as np
+import scipy.optimize
 import scipy.sparse as sp
 
 from pilothop import detection, simulator, solvers, sysmodel
@@ -242,54 +243,52 @@ def load_system(path):
     return config, topo, fading, hops, a
 
 
-def subgradient_oracle(
-    A,
-    y,
-    reg: solvers.RegularizerSpec,
-    iters: int,
-    x0: np.ndarray | None = None,
-):
-    """Slow projected-subgradient reference, independent of the ADMM path.
+def random_instance(rng, m=12, n=8, k=3, noise=0.05):
+    """(A, y, x): non-negative A, sparse non-negative x, y = Ax + noise."""
+    A = np.abs(rng.standard_normal((m, n)))
+    x = np.zeros(n)
+    x[rng.choice(n, k, replace=False)] = rng.uniform(0.5, 1.5, k)
+    return A, A @ x + noise * rng.standard_normal(m), x
 
-    Polyak-style steps with a decaying slack target; tracks and returns the
-    best feasible iterate and its objective, (x_best, f_best).
+
+def duality_gap(A, y, reg: solvers.RegularizerSpec, x) -> float:
+    """f(x) - d(v) >= f(x) - min f over x >= 0, for f(x) = ||Ax - y||^2 +
+    lam sum_j ||B_j x|| and A of full column rank.
+
+    By weak duality d(v) = min_{x >= 0} ||Ax - y||^2 + (sum_j B_j^T v_j).x is
+    at most min f whenever every ||v_j|| <= lam (Ndiaye et al., JMLR 2017).
+    v_j = lam B_j x / ||B_j x|| where ||B_j x|| is above rounding noise, whose
+    direction would add O(lam) to the gap. The other v_j minimize the
+    orthant-restricted subgradient norm at x by projected FISTA with adaptive
+    restart. d(v) is one NNLS solve after completing the square.
     """
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = A.shape[1]
-    x = np.zeros(n) if x0 is None else np.maximum(0.0, np.asarray(x0, dtype=float))
-    B = solvers.build_group_operator(reg, n)
-    groups = reg.indptr.size - 1
-
-    def full_objective(v):
-        return objective_value(A, y, reg, v)
-
-    def subgrad(v):
-        g = 2.0 * (A.T @ (A @ v - y))
-        if reg.lam > 0.0 and B.shape[0]:
-            Bv = B @ v
-            norms = np.linalg.norm(Bv.reshape(-1, groups), axis=0)
-            scale = np.zeros(B.shape[0])
-            row_group = np.arange(B.shape[0]) % groups
-            sel = (norms > 0.0)[row_group]
-            scale[sel] = reg.lam / norms[row_group[sel]]
-            g = g + B.T @ (scale * Bv)
-        return g
-
-    f_best = full_objective(x)
-    x_best = x.copy()
-    f_x = f_best
-    delta0 = 0.1 * max(f_best, 1e-12)
-    for t in range(1, iters + 1):
-        g = subgrad(x)
-        gn2 = float(g @ g)
-        if gn2 == 0.0:
-            break
-        delta = delta0 / np.sqrt(t)
-        step = (f_x - f_best + delta) / gn2
-        x = np.maximum(0.0, x - step * g)
-        f_x = full_objective(x)
-        if f_x < f_best:
-            f_best = f_x
-            x_best = x.copy()
-    return x_best, float(f_best)
+    eye = np.eye(A.shape[1])
+    if reg.kind == solvers.GLASSO:
+        blocks = [eye[g] for g in unpack(reg)]
+    else:
+        blocks = [eye[j] - eye[g[g != j]] for j, g in enumerate(unpack(reg))]
+    norms = np.array([np.linalg.norm(B @ x) for B in blocks])
+    active = norms > 1e-8 * max(1.0, x.max(initial=0.0))
+    c = sum(reg.lam * B.T @ (B @ x) / nrm for B, nrm, a in zip(blocks, norms, active) if a)
+    free = np.flatnonzero(~active)
+    Bf = np.vstack([eye[:0]] + [blocks[j] for j in free])
+    owner = np.repeat(free, [blocks[j].shape[0] for j in free])
+    g_fixed = 2.0 * A.T @ (A @ x - y) + c
+    step = 1.0 / max((Bf * Bf).sum(), 1e-300)  # ||Bf||_F^2 >= sigma_max^2
+    v = z = np.zeros(Bf.shape[0])
+    t = 1.0
+    for _ in range(1000):
+        s = g_fixed + Bf.T @ z
+        v_new = z - step * (Bf @ np.where(x > 0.0, s, np.minimum(s, 0.0)))
+        nrm = np.sqrt(np.bincount(owner, v_new * v_new, len(blocks)))[owner]
+        v_new *= np.minimum(1.0, reg.lam / np.maximum(nrm, 1e-300))
+        if (z - v_new) @ (v_new - v) > 0.0:  # momentum points uphill: restart
+            t, z = 1.0, v_new
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            z, t = v_new + ((t - 1.0) / t_new) * (v_new - v), t_new
+        v = v_new
+    Aw = A @ np.linalg.solve(A.T @ A, c + Bf.T @ v)
+    _, r = scipy.optimize.nnls(A, y - 0.5 * Aw)
+    f = objective_value(A, y, None, x) + reg.lam * norms.sum()
+    return float(f - (r * r + y @ Aw - 0.25 * Aw @ Aw))

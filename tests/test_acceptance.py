@@ -1,34 +1,25 @@
 """End-to-end acceptance checks, one per shipped guarantee.
 
 Each test prints a single PASS/FAIL line (run with -s to see them live).
-Set PILOTHOP_ACCEPTANCE_FULL=1 to run the detection-ordering campaign at
-the full problem scale (135 s on one core of a 2-vCPU VM, BLAS on one
-thread) instead of the reduced-scale preset; the ordering contract is
-identical.
+Criterion 4 certifies the regularized solves with a weak-duality gap
+(``oracles.duality_gap``), an upper bound on how far each objective is
+above the optimum. Criterion 6 runs the detection-ordering campaign at
+reduced scale and at the paper's full scale with the same contract; on one
+core of a 2-vCPU VM with BLAS on one thread they take about 12 s and 106 s.
 """
-import os
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.optimize
 
-from oracles import chain_neighbors, contiguous_groups, objective_value, subgradient_oracle
+from oracles import (
+    chain_neighbors, contiguous_groups, duality_gap, objective_value, random_instance,
+)
 from pilothop import cli, harness, serialize, simulator, solvers, sysmodel
-
-FULL_SCALE = os.environ.get("PILOTHOP_ACCEPTANCE_FULL") == "1"
 
 
 def report(num: int, ok: bool, detail: str):
     print(f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}")
     assert ok, f"criterion {num}: {detail}"
-
-
-def random_instance(rng, m=15, n=10, k=3, noise=0.05):
-    A = np.abs(rng.standard_normal((m, n)))
-    x = np.zeros(n)
-    x[rng.choice(n, k, replace=False)] = rng.uniform(0.5, 1.5, k)
-    return A, A @ x + noise * rng.standard_normal(m)
 
 
 def test_criterion_1_neighbor_set_cardinality():
@@ -95,7 +86,7 @@ def test_criterion_4_solver_correctness():
     worst_nnls = 0.0
     worst_kkt = 0.0
     for _ in range(50):
-        A, y = random_instance(rng)
+        A, y, _ = random_instance(rng, m=15, n=10)
         res = solvers.nnls_solve(A, y, tight)
         _, r_ref = scipy.optimize.nnls(A, y)
         f = objective_value(A, y, None, res.alpha_hat)
@@ -105,27 +96,19 @@ def test_criterion_4_solver_correctness():
     worst_reg = 0.0
     for kind in ("tv", "glasso"):
         for _ in range(20):
-            A, y = random_instance(rng)
+            A, y, _ = random_instance(rng, m=15, n=10)
             n = A.shape[1]
             groups = chain_neighbors(n) if kind == "tv" else contiguous_groups(n, 2)
             reg = solvers.RegularizerSpec(kind, *groups, 0.3)
             res = solvers.regularized_solve(A, y, reg, tight)
             f = objective_value(A, y, reg, res.alpha_hat)
             worst_kkt = max(worst_kkt, solvers.kkt_residual(A, y, reg, res.alpha_hat))
-            # the subgradient reference converges slowly; grow its budget
-            # until it certifies the ADMM objective or exhausts the cap
-            f_oracle = np.inf
-            x0 = None
-            for _ in range(10):
-                x0, f_orc = subgradient_oracle(A, y, reg, 10_000, x0=x0)
-                f_oracle = min(f_oracle, f_orc)
-                if abs(f - f_oracle) / max(f_oracle, 1e-12) <= 1e-3:
-                    break
-            worst_reg = max(worst_reg, abs(f - f_oracle) / max(f_oracle, 1e-12))
+            # one-sided: the gap bounds f - min f from above
+            worst_reg = max(worst_reg, duality_gap(A, y, reg, res.alpha_hat) / f)
 
-    ok = worst_nnls < 1e-6 and worst_reg < 1e-3 and worst_kkt < 1e-5
+    ok = worst_nnls < 1e-6 and worst_reg <= 1e-8 and worst_kkt < 1e-5
     report(4, ok, f"NNLS vs active-set rel {worst_nnls:.2e} (<1e-6), "
-                  f"regularized vs subgradient rel {worst_reg:.2e} (<1e-3), "
+                  f"regularized relative duality gap {worst_reg:.2e} (<=1e-8), "
                   f"max KKT residual {worst_kkt:.2e} (<1e-5)")
 
 
@@ -238,14 +221,15 @@ def _mean_rates(results):
     return p_m, p_fa
 
 
-def test_criterion_6_roc_dominance():
+@pytest.mark.parametrize("scale", ["quick", "full"])
+def test_criterion_6_roc_dominance(scale):
     """Both regularized detectors beat plain NNLS near p_fa = 1e-2."""
     glasso_grid = (0.03, 0.06, 0.1)
     methods = (
         harness.MethodSpec("nnls"),
         harness.MethodSpec("tv", 0.06),
     ) + tuple(harness.MethodSpec("glasso", lam) for lam in glasso_grid)
-    if FULL_SCALE:
+    if scale == "full":
         system = sysmodel.SystemConfig()
     else:
         system = harness.quick_preset(harness.ExperimentConfig()).system
@@ -260,7 +244,6 @@ def test_criterion_6_roc_dominance():
     pm_tv, pfa_tv = at_target(1)
     pm_glasso = min(at_target(2 + i)[0] for i in range(len(glasso_grid)))
     ok = pm_tv < pm_nnls and pm_glasso < pm_nnls
-    scale = "full" if FULL_SCALE else "quick"
     report(6, ok, f"[{scale} scale, ML=128, 200 paired trials] p_m near p_fa=1e-2: "
                   f"nnls {pm_nnls:.4f} (p_fa {pfa_nnls:.4f}), tv(0.06) {pm_tv:.4f}, "
                   f"best-grid glasso {pm_glasso:.4f} (want both < nnls)")
