@@ -27,14 +27,16 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import detection, serialize, simulator, solvers, sysmodel
 from .errors import ConfigurationError
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SCHEMA_VERSION = 1
 
@@ -441,6 +443,9 @@ def run_trials(
     if workers <= 1:
         workspaces: dict = {}
         return [run_trial(ctx, i, workspaces, dump_trials) for i in indices]
+    # imported here: a serial run never loads the pool or multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(ctx,)
     ) as pool:

@@ -6,8 +6,9 @@ entry), so A^T is CSR for free and every product with A or A^T is sparse:
 
 * ``nnls_solve`` — accelerated projected gradient (FISTA with adaptive
   restart; Beck & Teboulle, SIAM J. Imaging Sci. 2009) for
-  min_{x>=0} ||Ax - y||^2. An iteration is one product with A and one
-  with A^T, and the iterates are updated in place.
+  min_{x>=0} ||Ax - y||^2. An iteration is one product with a CSR copy
+  of A, made once per solve, and one with A^T, and the iterates are
+  updated in place.
 * ``regularized_solve`` — ADMM operator splitting for
   min_{x>=0} ||Ax - y||^2 + lambda * sum_j ||B_j x||_2,
   where B_j either selects a (possibly overlapping) group of coordinates
@@ -45,9 +46,13 @@ halves the largest allocation of a solve and the largest memory traffic
 of a step; every iterate, the Gram matrix and every test the solve
 decides on stay float64. Each solve runs on its problem divided by a
 power of two, exact in binary floating point, so the float32 rows stay in
-range at any scale of y and lambda. The reductions a decision rests on
-run in numpy's own loop, not BLAS, so results do not depend on the BLAS
-thread count.
+range at any scale of y and lambda.
+
+In both solvers the reductions a decision rests on run in numpy's own
+loop, not BLAS, so results do not depend on the BLAS thread count.
+LAPACK and BLAS come from ``scipy.linalg``, imported and bound only by
+the ``RegularizedWorkspace`` constructor, so an NNLS-only run never
+loads it.
 
 Plus an optimality certificate independent of both solvers, the
 minimal-norm subgradient residual (`kkt_residual`).
@@ -58,7 +63,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from .errors import ConfigurationError
@@ -78,13 +82,10 @@ OVER_RELAX = 1.8
 # projected-gradient steps of the KKT certificate's minimal-norm subgradient
 KKT_INNER_ITERS = 4000
 
-_posv = scipy.linalg.lapack.dposv
-_sgemv = scipy.linalg.blas.sgemv
-
 
 def _dot(u, v) -> float:
     """u . v in numpy's own loop. BLAS splits a long dot product across
-    threads, so its rounding, and every ADMM decision taken on it, would
+    threads, so its rounding, and every solver decision taken on it, would
     depend on the BLAS thread count."""
     return float(np.einsum("i,i->", u, v))
 
@@ -172,7 +173,7 @@ def _lipschitz(A, At, iters: int = 20, tol: float = 1e-6) -> float:
     lam = 0.0
     for _ in range(iters):
         w = At @ (A @ v)
-        nrm = np.linalg.norm(w)
+        nrm = math.sqrt(_dot(w, w))
         if nrm == 0.0:
             return 0.0
         v_new = w / nrm
@@ -216,8 +217,9 @@ def build_group_operator(reg: RegularizerSpec, n: int):
     )
 
 
-def _banded_cholesky(M) -> np.ndarray:
-    """Lower banded Cholesky factor of the sparse SPD matrix M.
+def _lower_band(M) -> np.ndarray:
+    """The lower band of the sparse symmetric matrix M in LAPACK's banded
+    storage: row d holds the d-th subdiagonal.
 
     The bandwidth is read from M's entries; on the row-major user grid a
     neighbor graph couples only nearby rows, so the band is narrow (zero
@@ -228,7 +230,7 @@ def _banded_cholesky(M) -> np.ndarray:
     diag = (M.row - M.col)[below]
     ab = np.zeros((int(diag.max(initial=0)) + 1, M.shape[0]))
     ab[diag, M.col[below]] = M.data[below]
-    return scipy.linalg.cholesky_banded(ab, lower=True, check_finite=False)
+    return ab
 
 
 class RegularizedWorkspace:
@@ -251,9 +253,15 @@ class RegularizedWorkspace:
       from the dense A^T;
     * the Cholesky factors of the m x m capacitance G + rho/2 I, one per
       visited penalty value, solved with LAPACK ``potrs``.
+
+    The constructor binds every LAPACK and BLAS routine of the x-update
+    and of ``regularized_solve``'s Anderson step.
     """
 
     def __init__(self, A, reg: RegularizerSpec, options: SolverOptions):
+        # the package's one import of scipy.linalg: a run without ADMM never loads it
+        import scipy.linalg
+
         A, _ = _check_problem(A, np.zeros(A.shape[0]))
         self.n = n = A.shape[1]
         B = build_group_operator(reg, n)
@@ -263,10 +271,15 @@ class RegularizedWorkspace:
         # the identity block appends the non-negativity copy u = x
         self.C = sp.vstack([B, sp.identity(n)], format="csr")
         self.Ct = self.C.T.tocsr()
-        self._chol_M = _banded_cholesky(self.Ct @ self.C)
+        self._chol_M = scipy.linalg.cholesky_banded(
+            _lower_band(self.Ct @ self.C), lower=True, check_finite=False)
         self._pbtrs, self._potrs = scipy.linalg.get_lapack_funcs(
             ("pbtrs", "potrs"), (self._chol_M,)
         )
+        self._cho_factor = scipy.linalg.cho_factor
+        # the Anderson step's float64 normal equations and float32 products
+        self._posv = scipy.linalg.lapack.dposv
+        self._sgemv = scipy.linalg.blas.sgemv
         if self._chol_M.shape[0] == 1:
             # M diagonal: W is A^T with row i divided twice by the factor's
             # L_ii, as pbtrs divides, so it keeps A^T's sparsity
@@ -288,7 +301,7 @@ class RegularizedWorkspace:
         f = self._factors.get(rho)
         if f is None:
             cap = self.G + 0.5 * rho * np.eye(self.G.shape[0])
-            f, _ = scipy.linalg.cho_factor(cap, lower=True, check_finite=False)
+            f, _ = self._cho_factor(cap, lower=True, check_finite=False)
             self._factors[rho] = f
         return f
 
@@ -306,17 +319,24 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
 
     Convergence is certified by the projected-gradient KKT residual
     relative to ||2 A^T y||. An iteration is one product with A and one
-    with A^T; the iterates live in buffers allocated once per solve.
+    with A^T, both row-wise CSR products; the iterates live in buffers
+    allocated once per solve. The step size, restart test and stopping
+    norm are `_dot`s, so no BLAS reduction reaches a decision.
     """
     A, y = _check_problem(A, y)
     options = options or SolverOptions()
     n = A.shape[1]
+    # both products row by row: A^T is CSR for free, and a CSR copy of A
+    # turns the scatter-add of A z into gathers, with the same sums in the
+    # same order
     At = A.T
+    A = A.tocsr()
     L = _lipschitz(A, At)
     if L == 0.0:  # A == 0: any feasible point is optimal
         return SolverResult(np.zeros(n), 0, True)
     step2 = 2.0 / L  # the step 1/L times the 2 of the gradient 2 A^T (A z - y)
-    scale = max(np.linalg.norm(2.0 * (At @ y)), options.abs_tol)
+    Aty2 = 2.0 * (At @ y)
+    scale = max(math.sqrt(_dot(Aty2, Aty2)), options.abs_tol)
     x, x_new, z, dx = (np.zeros(n) for _ in range(4))
     t_mom = 1.0
     converged = False
@@ -331,7 +351,7 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
         np.subtract(x_new, x, out=dx)
         z -= x_new
         # adaptive restart on momentum pointing uphill: (z - x_new) . (x_new - x) > 0
-        if z @ dx > 0.0:
+        if _dot(z, dx) > 0.0:
             t_mom = 1.0
             np.copyto(z, x_new)
         else:
@@ -347,7 +367,7 @@ def nnls_solve(A, y, options: SolverOptions | None = None) -> SolverResult:
             g *= 2.0
             # projected gradient: at x = 0 only a negative component violates KKT
             np.minimum(g, 0.0, out=g, where=x <= 0.0)
-            if np.linalg.norm(g) <= options.rel_tol * scale:
+            if math.sqrt(_dot(g, g)) <= options.rel_tol * scale:
                 converged = True
                 break
     return SolverResult(x, it, converged)
@@ -428,6 +448,7 @@ def regularized_solve(
             "the kind, the groups and the entries of A must all be equal"
         )
     n = ws.n
+    posv, sgemv = ws._posv, ws._sgemv
     Aty2 = 2.0 * (A.T @ y)
     # the problem divided by unit, a power of two (see the docstring)
     top = max(float(np.abs(Aty2).max(initial=0.0)), reg.lam)
@@ -544,16 +565,16 @@ def regularized_solve(
             # row dF d = dF f - dF f_prev (rows other than slot unchanged).
             # dF[:k].T is Fortran-ordered, so no copy, and trans=1 keeps a
             # single row off numpy's dot path
-            Ff = _sgemv(1.0, dF[:k].T, f, trans=1)
+            Ff = sgemv(1.0, dF[:k].T, f, trans=1)
             row = Ff - Ff_prev[:k]
             row[slot] = diag[slot] = _dot(d, d)
             gram[slot, :k] = row
             gram[:k, slot] = row
             Ff_prev[:k] = Ff
             H = gram[:k, :k] + eye[:k, :k] * (1e-10 * sum(diag[:k]))
-            _, gamma, info = _posv(H, Ff, lower=1, overwrite_a=1, overwrite_b=1)
+            _, gamma, info = posv(H, Ff, lower=1, overwrite_a=1, overwrite_b=1)
             if info == 0:
-                np.subtract(g, _sgemv(1.0, dG[:k].T, gamma), out=w)
+                np.subtract(g, sgemv(1.0, dG[:k].T, gamma), out=w)
                 accelerated = True
         f_prev = f
         g, g_prev = g_prev, g

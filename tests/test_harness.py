@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import os
@@ -142,7 +143,8 @@ class TestTrialExecution:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        # run_trials imports the pool class when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness, "_WORKER_CTX", None)
         monkeypatch.setattr(harness, "_WORKER_WORKSPACES", {})
         ctx = harness.build_context(tiny_experiment(n_trials=2))
@@ -308,6 +310,17 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "out" / "roc.csv").exists()
         assert (tmp_path / "out" / "rmsd.csv").exists()
+
+    def test_nnls_only_campaign_csvs_equal_across_worker_counts(self, tmp_path):
+        # --workers 2 runs the trials in a process pool imported by run_trials
+        config = tmp_path / "nnls.json"
+        config.write_text(json.dumps({"schema_version": 1, "methods": [{"kind": "nnls"}]}))
+        for workers in ("1", "2"):
+            rc = cli.main(["roc", "--quick", "--config", str(config), "--trials", "4",
+                           "--workers", workers, "--out", str(tmp_path / workers)])
+            assert rc == 0
+        for name in ("roc.csv", "rmsd.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
 
     def test_topology_command(self, tmp_path):
         cfg = self.write_config(tmp_path)

@@ -465,9 +465,11 @@ class TestScaleCovariance:
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# full-scale TV and group-LASSO solves of trials 0 and 1 at master seed
-# 1000, as a campaign runs them: iterations and a hash of alpha_hat's bytes
-THREAD_PROBE = """
+# Each probe prints, per solve, the trial, the method, the iterations,
+# convergence and a hash of alpha_hat's bytes.
+# The full-scale TV and group-LASSO solves of trials 0 and 1 at master
+# seed 1000, as a campaign runs them.
+ADMM_PROBE = """
 import hashlib
 from pilothop import harness
 ctx = harness.build_context(harness.ExperimentConfig(master_seed=1000))
@@ -480,24 +482,40 @@ for trial in (0, 1):
             digest = hashlib.sha256(res.alpha_hat.tobytes()).hexdigest()
             print(trial, reg.kind, res.iterations, res.converged, digest)
 """
+# The NNLS solve of trial 0 at master seed 1000 on a 102 x 102 grid, cut at
+# 50 iterations (it converges at the 50th): K = 10404 is past the 10000
+# entries above which OpenBLAS splits a dot product
+NNLS_PROBE = """
+import hashlib
+from pilothop import harness, sysmodel
+config = harness.ExperimentConfig(
+    system=sysmodel.SystemConfig(K=102 * 102, grid_side=102),
+    methods=(harness.MethodSpec("nnls"),), master_seed=1000, solver_max_iters=50)
+ctx = harness.build_context(config)
+_, _, y = harness.simulate_trial(ctx, 0)
+res = harness.solve_method(ctx, 0, y, {})
+print(0, "nnls", res.iterations, res.converged, hashlib.sha256(res.alpha_hat.tobytes()).hexdigest())
+"""
 
 
-def test_admm_does_not_depend_on_the_blas_thread_count():
+@pytest.mark.parametrize("probe, solves", [(ADMM_PROBE, 4), (NNLS_PROBE, 1)],
+                         ids=["admm", "nnls"])
+def test_solves_do_not_depend_on_the_blas_thread_count(probe, solves):
     """The same solves under OPENBLAS_NUM_THREADS=1 and =2 give the same
     alpha_hat bytes and iteration counts. OpenBLAS splits a long dot
     product across threads, which changes its rounding, so no BLAS
-    reduction may reach an ADMM decision. OpenBLAS caps its threads at the
-    CPUs it finds, so on a 1-CPU runner both runs may use one thread, and
-    there the test cannot fail."""
+    reduction may reach a solver decision. OpenBLAS caps its threads at
+    the CPUs it finds, so on a 1-CPU runner both runs may use one thread,
+    and there the test cannot fail."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 4 and all(line.split()[3] == "True" for line in outputs[0])
+    assert [line.split()[3] for line in outputs[0]] == ["True"] * solves
     assert outputs[0] == outputs[1]
 
 
