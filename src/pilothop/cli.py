@@ -6,13 +6,12 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import detection, harness, sysmodel
+from . import harness, sysmodel
 from .errors import ConfigurationError, NumericalError
 
 
@@ -56,10 +55,8 @@ def _add_common(p, trials=True, campaign=False):
 
 def cmd_topology(args):
     config = _load_config(args)
-    rng = harness.stream(config.master_seed, harness.SYSTEM_SPAWN, 0)
-    topology, fading, code, a = sysmodel.build_system(config.system, rng)
     path = os.path.join(config.output_dir, "system.json")
-    sysmodel.save_system(path, config.system, topology, fading, code, a)
+    sysmodel.save_system(path, config.system, *harness.draw_system(config))
     print(f"wrote {path}")
     return 0
 
@@ -77,35 +74,11 @@ def cmd_simulate(args):
 
 def cmd_detect(args):
     config = _load_config(args)
-    try:
-        with open(args.trial) as f:
-            dump = json.load(f)
-        y = np.asarray(dump["y"], dtype=float)
-        truth = np.asarray(dump["alpha"], dtype=float)
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ConfigurationError(f"cannot read trial dump {args.trial}: {exc!r}") from exc
     ctx = harness.build_context(config)
-    if y.shape != (ctx.a_norm.shape[0],):
-        raise ConfigurationError(
-            f"trial dump has {y.shape} measurements, system expects {ctx.a_norm.shape[0]}"
-        )
-    if truth.shape != (config.system.K,):
-        raise ConfigurationError(
-            f"trial dump has {truth.shape} activity entries, system has K={config.system.K}"
-        )
-    binary = np.isin(truth, (0, 1))
-    if not binary.all():
-        raise ConfigurationError(f"trial dump alpha must hold only 0 and 1, got {truth[~binary][0]}")
-    y_norm = y / ctx.scale
-    workspaces: dict = {}
-    rows = []
-    for mi, method in enumerate(config.methods):
-        result = harness.solve_method(ctx, mi, y_norm, workspaces)
-        _, p_m, p_fa = detection.roc_sweep(result.alpha_hat, truth, config.thresholds)
-        rows += [(method.kind, method.lam, thr, fa, m, 1)
-                 for thr, fa, m in zip(config.thresholds, p_fa.tolist(), p_m.tolist())]
+    y_norm, truth = harness.read_trial_dump(args.trial, ctx)
+    roc_rows, _ = harness.aggregate(config, [harness.evaluate(ctx, y_norm, truth)])
     path = os.path.join(config.output_dir, "detect.csv")
-    harness.write_csv(path, harness.ROC_HEADER, rows)
+    harness.write_csv(path, harness.ROC_HEADER, roc_rows)
     print(f"wrote {path}")
     return 0
 
@@ -117,10 +90,8 @@ def cmd_campaign(args):
     config = _load_config(args)
     if args.command == "sweep-lambda":
         config = harness.sweep_lambda_config(config)
-    harness.run_experiment(
-        config, workers=args.workers, dump_trials=args.dump_trials,
-        out_dir=config.output_dir,
-    )
+    harness.run_experiment(config, workers=args.workers, dump_trials=args.dump_trials,
+                           out_dir=config.output_dir)
     print(f"wrote roc.csv and rmsd.csv to {config.output_dir}")
     return 0
 

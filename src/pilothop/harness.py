@@ -2,7 +2,10 @@
 
 Seeded Monte Carlo campaigns over (method, lambda, threshold), paired so
 every method sees the identical realization, with deterministic
-aggregation regardless of worker count.
+aggregation regardless of worker count. Each experiment rule lives here
+once: ``draw_system`` draws the system, ``evaluate`` solves, sweeps and
+localizes one realization (``run_trial`` and the CLI's ``detect`` both
+call it), and ``read_trial_dump`` reads back what ``trial_dump`` writes.
 
 RNG splitting rule: the stream for purpose P of trial t is
 ``default_rng(SeedSequence(master_seed, spawn_key=(t, P)))`` with purposes
@@ -275,10 +278,16 @@ class TrialResult:
     dump: dict | None = None
 
 
+def draw_system(config: ExperimentConfig):
+    """(topology, fading, hops, a) of config's system, the hop table drawn
+    from the master seed's SYSTEM_SPAWN stream: what ``topology`` writes and
+    what build_context builds on."""
+    return sysmodel.build_system(config.system, stream(config.master_seed, SYSTEM_SPAWN, 0))
+
+
 def build_context(config: ExperimentConfig) -> SystemContext:
     sys_cfg = config.system
-    rng = stream(config.master_seed, SYSTEM_SPAWN, 0)
-    topology, fading, code, a = sysmodel.build_system(sys_cfg, rng)
+    topology, fading, code, a = draw_system(config)
     scale = sys_cfg.tau_p * sys_cfg.p * fading.beta_min
     # in place: scipy's a / scale multiplies by 1 / scale, an ulp off at times
     a_norm = a.copy()
@@ -340,6 +349,27 @@ def trial_dump(ctx: SystemContext, trial_index: int, events, activity, y_norm) -
     }
 
 
+def read_trial_dump(path, ctx: SystemContext):
+    """(y', alpha) of the trial_dump JSON at path; ConfigurationError unless
+    y holds one entry per row of ctx's A and alpha one 0 or 1 per user."""
+    try:
+        with open(path) as f:
+            dump = json.load(f)
+        y = np.asarray(dump["y"], dtype=float)
+        truth = np.asarray(dump["alpha"], dtype=float)
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigurationError(f"cannot read trial dump {path}: {exc!r}") from exc
+    m, K = ctx.a_norm.shape
+    if y.shape != (m,):
+        raise ConfigurationError(f"trial dump has {y.shape} measurements, system expects {m}")
+    if truth.shape != (K,):
+        raise ConfigurationError(f"trial dump has {truth.shape} activity entries, system has K={K}")
+    binary = np.isin(truth, (0, 1))
+    if not binary.all():
+        raise ConfigurationError(f"trial dump alpha must hold only 0 and 1, got {truth[~binary][0]}")
+    return y / ctx.scale, truth
+
+
 def write_trial_dumps(out_dir, dumps) -> str:
     """Each trial_dump as trials/trial_{trial_index:05d}.json under out_dir,
     the layout of `simulate` and --dump-trials; returns the trials directory."""
@@ -369,6 +399,38 @@ def solve_method(
     return solvers.regularized_solve(ctx.a_norm, y_norm, reg, options, workspace=ws)
 
 
+def evaluate(ctx: SystemContext, y_norm, activity, workspaces: dict | None = None,
+             trial_index: int | None = None, events=None) -> TrialResult:
+    """Every configured method on one realization: its solve, the rates of
+    its threshold sweep against the 0/1 activity and, given the events, the
+    RMSD of each threshold's mask localized on trial_index's K-means
+    streams (NaN without events). Methods without a regularizer (NNLS, and
+    TV or group-LASSO at lambda = 0) share one NNLS solve."""
+    if workspaces is None:
+        workspaces = {}
+    config = ctx.config
+    solves, nnls = [], None
+    for mi, reg in enumerate(ctx.reg_specs):
+        if reg is not None:
+            solves.append(solve_method(ctx, mi, y_norm, workspaces))
+            continue
+        if nnls is None:
+            nnls = solve_method(ctx, mi, y_norm, workspaces)
+        solves.append(nnls)
+    masks, p_m, p_fa = zip(*(
+        detection.roc_sweep(r.alpha_hat, activity, config.thresholds) for r in solves))
+    rmsd = np.full((len(solves), len(config.thresholds)), np.nan)
+    if events is not None:
+        for mi, ti in np.ndindex(rmsd.shape):
+            rmsd[mi, ti] = detection.localize_events(
+                ctx.topology.user_positions, masks[mi][ti], events,
+                stream(config.master_seed, trial_index, KMEANS, mi, ti),
+            )
+    counts = (np.array([getattr(r, name) for r in solves])
+              for name in ("converged", "iterations", "rejected_steps", "rho_changes"))
+    return TrialResult(np.array(p_m), np.array(p_fa), rmsd, ~np.any(masks, axis=2), *counts)
+
+
 def run_trial(
     ctx: SystemContext,
     trial_index: int,
@@ -376,54 +438,15 @@ def run_trial(
     keep_dump: bool = False,
     localize: bool = True,
 ) -> TrialResult:
-    """One paired Monte Carlo trial; deterministic in (master_seed, trial_index).
-
-    Methods without a regularizer (NNLS, and TV or group-LASSO at lambda =
-    0) share one NNLS solve; each keeps its own K-means streams.
-    With localize=False the K-means localization is skipped and the RMSD
-    entries are NaN; detection metrics are unaffected. Useful for ROC-only
-    campaigns where clustering at every threshold dominates the cost.
-    """
-    if workspaces is None:
-        workspaces = {}
-    config = ctx.config
-    seed = config.master_seed
+    """One paired Monte Carlo trial: its realization, evaluated.
+    Deterministic in (master_seed, trial_index). localize=False skips the
+    K-means localization (RMSD entries NaN) for ROC-only use."""
     events, activity, y_norm = simulate_trial(ctx, trial_index)
-
-    shape = (len(config.methods), len(config.thresholds))
-    p_m = np.empty(shape)
-    p_fa = np.empty(shape)
-    rmsd = np.full(shape, np.nan)
-    zero_detected = np.empty(shape, dtype=bool)
-    converged = np.zeros(shape[0], dtype=bool)
-    iterations = np.zeros(shape[0], dtype=np.int64)
-    rejected_steps = np.zeros(shape[0], dtype=np.int64)
-    rho_changes = np.zeros(shape[0], dtype=np.int64)
-    nnls = None  # every method without a regularizer solves the same NNLS
-    for mi in range(shape[0]):
-        if ctx.reg_specs[mi] is None:
-            if nnls is None:
-                nnls = solve_method(ctx, mi, y_norm, workspaces)
-            result = nnls
-        else:
-            result = solve_method(ctx, mi, y_norm, workspaces)
-        converged[mi] = result.converged
-        iterations[mi] = result.iterations
-        rejected_steps[mi] = result.rejected_steps
-        rho_changes[mi] = result.rho_changes
-        masks, p_m[mi], p_fa[mi] = detection.roc_sweep(
-            result.alpha_hat, activity, config.thresholds)
-        zero_detected[mi] = ~masks.any(axis=1)
-        if localize:
-            for ti, mask in enumerate(masks):
-                rmsd[mi, ti] = detection.localize_events(
-                    ctx.topology.user_positions, mask, events,
-                    stream(seed, trial_index, KMEANS, mi, ti),
-                )
-
-    dump = trial_dump(ctx, trial_index, events, activity, y_norm) if keep_dump else None
-    return TrialResult(p_m, p_fa, rmsd, zero_detected, converged, iterations,
-                       rejected_steps, rho_changes, dump)
+    result = evaluate(ctx, y_norm, activity, workspaces, trial_index,
+                      events if localize else None)
+    if keep_dump:
+        result.dump = trial_dump(ctx, trial_index, events, activity, y_norm)
+    return result
 
 
 def _run_trial_in_worker(args):
@@ -551,10 +574,11 @@ def run_experiment(
     ctx = build_context(config)
     results = run_trials(ctx, workers=workers, dump_trials=dump_trials)
     roc_rows, rmsd_rows = aggregate(config, results)
-    unconverged = [int(n) for n in np.sum([~r.converged for r in results], axis=0)]
-    iterations = [int(n) for n in np.sum([r.iterations for r in results], axis=0)]
-    rejected_steps = [int(n) for n in np.sum([r.rejected_steps for r in results], axis=0)]
-    rho_changes = [int(n) for n in np.sum([r.rho_changes for r in results], axis=0)]
+
+    def total(name):  # per method, over all trials
+        return np.sum([getattr(r, name) for r in results], axis=0).tolist()
+
+    unconverged = [len(results) - n for n in total("converged")]
     if any(unconverged):
         counts = ", ".join(
             f"{m.kind} lambda={m.lam}: {n} of {len(results)}"
@@ -572,9 +596,9 @@ def run_experiment(
             "version": __version__,
             "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             "unconverged_solves": unconverged,
-            "solver_iterations": iterations,
-            "rejected_steps": rejected_steps,
-            "rho_changes": rho_changes,
+            "solver_iterations": total("iterations"),
+            "rejected_steps": total("rejected_steps"),
+            "rho_changes": total("rho_changes"),
         }
         serialize.dump(manifest, os.path.join(out_dir, "manifest.json"))
     return roc_rows, rmsd_rows

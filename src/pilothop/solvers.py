@@ -57,13 +57,16 @@ LAPACK and BLAS come from ``scipy.linalg``, imported and bound only by
 the ``RegularizedWorkspace`` constructor, so an NNLS-only run never
 loads it.
 
-Plus an optimality certificate independent of both solvers, the
-minimal-norm subgradient residual (`kkt_residual`).
+Plus an optimality certificate independent of both solvers,
+``kkt_residual``: the norm of the minimal orthant-restricted subgradient,
+its free part found by projected FISTA run until it stalls. On tight
+full-scale solves it reads 1e-11 to 5e-9 of ||2 A^T y||.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -84,8 +87,11 @@ ANDERSON_PERIOD = 3
 SAFEGUARD_GROWTH = 4.0
 # ADMM relaxation parameter, in (0, 2)
 OVER_RELAX = 1.8
-# projected-gradient steps of the KKT certificate's minimal-norm subgradient
-KKT_INNER_ITERS = 4000
+# the KKT certificate's inner solve stops when KKT_STALL_STEPS steps lower
+# its objective by at most KKT_STALL_GAIN relative, or after KKT_MAX_STEPS
+KKT_STALL_STEPS = 50
+KKT_STALL_GAIN = 1e-10
+KKT_MAX_STEPS = 3000
 
 
 def _dot(u, v) -> float:
@@ -135,7 +141,9 @@ class SolverOptions:
     max_iters: int = 50_000
     rel_tol: float = 1e-6
     abs_tol: float = 1e-9
-    rho: float = 1.0            # initial ADMM penalty; residual balancing doubles or halves it
+    # initial ADMM penalty, the same for every solve (not a field): residual
+    # balancing doubles or halves it
+    rho: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -144,9 +152,6 @@ class SolverOptions:
             tol = getattr(self, name)
             if not (np.isfinite(tol) and tol > 0):
                 raise ConfigurationError(f"{name} must be finite and > 0, got {tol}")
-        # the x-update divides by rho
-        if not (np.isfinite(self.rho) and self.rho > 0):
-            raise ConfigurationError(f"rho must be finite and > 0, got {self.rho}")
 
 
 @dataclass
@@ -386,71 +391,45 @@ def regularized_solve(
     workspace: RegularizedWorkspace | None = None,
 ) -> SolverResult:
     """ADMM for min_{x>=0} ||Ax - y||^2 + lambda sum_j ||B_j x||_2,
-    with safeguarded type-II Anderson acceleration.
+    with safeguarded type-II Anderson acceleration (module docstring).
 
     Splitting: z = [B x; x] with the block soft threshold on the group
-    rows and the orthant projection on the identity block. The x-update
-    solves (2 A^T A + rho (B^T B + I)) x = rhs through the workspace's
-    Woodbury form: one banded solve with B^T B + I and one m x m solve
-    with the capacitance factor cached for the current penalty value.
+    rows and the orthant projection on the identity block; the x-update
+    is the workspace's Woodbury solve at the current penalty. The
+    iteration runs on the pre-prox point w = relax C x + (1 - relax) z + u:
+    z = prox(w) and the scaled dual u = w - z are functions of w, so one
+    ADMM iteration is a map w -> T(w) = w + relax (C x - z) whose fixed
+    points are the ADMM solutions.
 
-    The iteration is run on the pre-prox point w = relax C x + (1 - relax) z
-    + u. Both z = prox(w) and the scaled dual u = w - z are functions of w,
-    so one ADMM iteration is a map w -> T(w) = w + relax (C x - z), and its
-    fixed points are the ADMM solutions. Type-II Anderson acceleration
-    (Walker & Ni, "Anderson acceleration for fixed-point iterations", SIAM
-    J. Numer. Anal. 2011) extrapolates from the last ANDERSON_MEMORY
-    differences of the residual f = C x - z = (T(w) - w) / relax and of
-    T(w): it solves the small least-squares problem min ||f - dF gamma||
-    by its normal equations (Tikhonov regularized; scaling f does not
-    change gamma) and steps to T(w) - dG gamma. Each history row is the
-    float32 rounding of a float64 difference, and dF f and dG^T gamma are
-    float32 gemv products; the Gram matrix, its solve and every iterate
-    are float64. The safeguard is a relaxed monotone test in the spirit
-    of Zhang, O'Donoghue & Boyd, "Globally convergent type-I Anderson
-    acceleration for nonsmooth fixed-point iterations" (SIAM J. Optim.
-    2020): when the squared fixed-point
-    residual ||f||^2 at an accelerated point exceeds SAFEGUARD_GROWTH times
-    the one at the point before it, the step is rejected, the iteration
-    resumes from the saved plain step and the history is cleared. Smaller
-    growth is accepted, so one noisy step does not throw away a history
-    of ANDERSON_MEMORY pairs. A rho change by residual balancing
-    changes the map, so it also clears the history.
-
-    Only iterations that are multiples of ANDERSON_PERIOD extrapolate: they
-    record the pair (f, T(w)), whose differences with the previous
-    recorded pair form the history, and step as above. The iterations in
-    between are plain steps w = T(w) that neither read nor write the
-    history, and ||f||^2 is computed only where it is read: on an
-    extrapolating iteration, and on the one after it for the safeguard.
-    At paper scale the two ring buffers hold about 2 MB, which with W and
-    M's factor overflows a 2 MB per-core L2 cache, so an Anderson step
-    costs mostly their traffic; ANDERSON_PERIOD = 3 keeps most of the
-    acceleration at a third of it. On the 8 full-scale problems of master seeds 1000-1003
-    and 7919000-7919003 (trial 0) an iteration then costs about 0.73 of
-    the time of one with a step every iteration, TV takes 7210 iterations
-    in all against 6530 and group-LASSO 4120 against 4370, and the median
-    solve takes 0.67 of the time.
+    Every ANDERSON_PERIOD-th iteration records the pair (f, T(w)), with
+    f = C x - z, and extrapolates from the last ANDERSON_MEMORY differences
+    of both: it solves min ||f - dF gamma|| by its Tikhonov-regularized
+    normal equations (float64 Gram matrix and solve, float32 history rows
+    and gemv products) and steps to T(w) - dG gamma. The iterations in
+    between are plain steps w = T(w) that touch no history. An
+    accelerated point whose ||f||^2 exceeds SAFEGUARD_GROWTH times the
+    previous point's is undone: the iteration resumes from the saved plain
+    step and the history is cleared, as it is when residual balancing
+    changes rho. On the 8 full-scale problems of master seeds 1000-1003
+    and 7919000-7919003 (trial 0) the period of 3 takes TV 7210
+    iterations in all against 6530 with a step every iteration, and
+    group-LASSO 4120 against 4370, at 0.67 of the median solve time.
 
     A workspace passed in must have been built for reg's kind, its groups
     (indptr and members) and A (shape, indptr, indices and data);
-    otherwise ConfigurationError is raised. The comparison reads about
-    40000 elements at paper scale, tens of microseconds against a solve.
+    otherwise ConfigurationError is raised.
 
     The solve runs on y and lambda divided by unit, the power of two that
-    brings max(|2 A^T y|, lambda) into [1, 2), with the abs_tol floors of
-    the stopping rule divided by it too. Scaling by a power of two is exact,
-    so the float64 arithmetic is that of the unscaled problem, while the
-    float32 history cannot overflow or underflow however y and lambda are
-    scaled. alpha_hat is scaled back before the snap to zero.
+    brings max(|2 A^T y|, lambda) into [1, 2), and so do the abs_tol floors
+    of the stopping rule: the float64 arithmetic is that of the unscaled
+    problem, and the float32 history cannot overflow or underflow.
+    alpha_hat is scaled back before the snap to zero.
 
-    Convergence and residual balancing are judged, every CHECK_EVERY
-    iterations, on the plain ADMM step from the current point. Every norm
-    and squared residual the solve decides on is a `_dot`, so no decision
-    depends on the BLAS thread count. All vectors
-    live in buffers allocated once per solve; group j's rows are column j
-    of a (width, groups) view, so the block soft threshold is a column norm
-    and a broadcast multiply.
+    Convergence and residual balancing are judged every CHECK_EVERY
+    iterations on the plain ADMM step from the current point, with every
+    norm a `_dot`. All vectors live in buffers allocated once per solve;
+    group j's rows are column j of a (width, groups) view, so the block
+    soft threshold is a column norm and a broadcast multiply.
     """
     A, y = _check_problem(A, y)
     options = options or SolverOptions()
@@ -612,13 +591,20 @@ def regularized_solve(
 
 
 def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x):
-    """Minimal-norm orthant-restricted subgradient via projected gradient.
+    """Minimal-norm orthant-restricted subgradient, by projected FISTA.
 
     The smooth and active-group parts of the subgradient are fixed; for
     groups with B_j x = 0 the subgradient contribution B_j^T v_j ranges
-    over the ball ||v_j|| <= lam, and we minimize the restricted
-    residual norm over those v_j by KKT_INNER_ITERS projected-gradient
-    steps. reg=None is plain NNLS.
+    over the ball ||v_j|| <= lam, and the restricted residual norm is
+    minimized over those v_j: h(v) = 0.5 ||restricted(g_fixed + Bf^T v)||^2
+    by projected FISTA with adaptive restart (Beck & Teboulle, SIAM J.
+    Imaging Sci. 2009; O'Donoghue & Candes, Found. Comput. Math. 2015).
+    The step is 1 / (||Bf||_1 ||Bf||_inf), which bounds ||Bf||_2^2 and so
+    the Lipschitz constant of h's gradient. The loop stops when
+    KKT_STALL_STEPS steps lower the least h met by at most KKT_STALL_GAIN
+    relative, or after KKT_MAX_STEPS steps. Every v met is feasible, so
+    the norm at the least h is an upper bound on the minimal norm.
+    reg=None is plain NNLS.
     """
     g0 = 2.0 * (A.T @ (A @ x - y))
     pos = x > 0.0
@@ -649,21 +635,37 @@ def _min_norm_subgradient(A, y, reg: RegularizerSpec | None, x):
         return np.linalg.norm(restricted(g_fixed))
 
     Bf = B[free]
-    # projected gradient on h(v) = 0.5*||restricted(g_fixed + Bf^T v)||^2
-    L = float(Bf.multiply(Bf).sum())  # Frobenius bound on sigma_max^2
-    eta = 1.0 / max(L, 1e-12)
-    v = np.zeros(Bf.shape[0])
+    Bft = Bf.T.tocsr()
+    absolute = abs(Bf)
+    step = 1.0 / max(float(absolute.sum(axis=0).max()) * float(absolute.sum(axis=1).max()), 1e-300)
     free_group = group_of_row[free]
-    for _ in range(KKT_INNER_ITERS):
-        s = g_fixed + Bf.T @ v
-        grad = Bf @ restricted(s)
-        v = v - eta * grad
-        # project each group's v back into its ball
-        gn = np.sqrt(np.bincount(free_group, v * v, groups))[free_group]
-        over = gn > reg.lam
-        if np.any(over):
-            v = np.where(over, v * (reg.lam / np.maximum(gn, 1e-300)), v)
-    return np.linalg.norm(restricted(g_fixed + Bf.T @ v))
+    # s is affine in v, so s at the extrapolated point z is the same
+    # combination of the s at v_new and v: one product with Bf^T per step
+    v = z = np.zeros(Bf.shape[0])
+    s_v = s_z = g_fixed
+    t, r = 1.0, restricted(g_fixed)
+    best = mark = _dot(r, r)  # 2 h
+    for k in range(1, KKT_MAX_STEPS + 1):
+        v_new = z - step * (Bf @ restricted(s_z))
+        gn = np.sqrt(np.bincount(free_group, v_new * v_new, groups))[free_group]
+        v_new *= np.minimum(1.0, reg.lam / np.maximum(gn, 1e-300))
+        s_new = g_fixed + Bft @ v_new
+        r = restricted(s_new)
+        best = min(best, _dot(r, r))
+        if (z - v_new) @ (v_new - v) > 0.0:  # momentum points uphill: restart
+            t, z, s_z = 1.0, v_new, s_new
+        else:
+            t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+            beta = (t - 1.0) / t_new
+            z = v_new + beta * (v_new - v)
+            s_z = s_new + beta * (s_new - s_v)
+            t = t_new
+        v, s_v = v_new, s_new
+        if k % KKT_STALL_STEPS == 0:
+            if mark - best <= KKT_STALL_GAIN * mark:
+                break
+            mark = best
+    return math.sqrt(best)
 
 
 def kkt_residual(A, y, reg: RegularizerSpec | None, alpha_hat) -> float:

@@ -329,6 +329,35 @@ class TestCli:
         loaded = load_system(tmp_path / "out" / "system.json")
         assert loaded[0].K == 36
 
+    def test_topology_writes_the_campaign_system(self, tmp_path):
+        cfg = self.write_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["topology", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        _, topology, _, hops, _ = load_system(out / "system.json")
+        ctx = harness.build_context(tiny_experiment(master_seed=5))
+        assert np.array_equal(hops, ctx.code)
+        assert np.array_equal(topology.user_positions, ctx.topology.user_positions)
+        assert np.array_equal(topology.bs_positions, ctx.topology.bs_positions)
+
+    def test_detect_solves_nnls_once(self, tmp_path, monkeypatch):
+        # NNLS and TV and group-LASSO at lambda = 0 are one NNLS problem,
+        # solved once as in a campaign trial
+        methods = (harness.MethodSpec("nnls"), harness.MethodSpec("tv"),
+                   harness.MethodSpec("glasso"), harness.MethodSpec("tv", 0.06))
+        cfg = self.write_config(tmp_path, methods=methods)
+        out = str(tmp_path / "out")
+        assert cli.main(["simulate", "--config", cfg, "--trials", "1", "--out", out]) == 0
+        nnls_solve, calls = solvers.nnls_solve, []
+
+        def counting(A, y, options):
+            calls.append(y)
+            return nnls_solve(A, y, options)
+
+        monkeypatch.setattr(solvers, "nnls_solve", counting)
+        trial = os.path.join(out, "trials", "trial_00000.json")
+        assert cli.main(["detect", "--config", cfg, "--trial", trial, "--out", out]) == 0
+        assert len(calls) == 1
+
     def test_simulate_then_detect(self, tmp_path):
         cfg = self.write_config(tmp_path)
         out = str(tmp_path / "out")
